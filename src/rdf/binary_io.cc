@@ -1,6 +1,10 @@
 #include "rdf/binary_io.h"
 
+#include <fcntl.h>
+#include <unistd.h>
+
 #include <algorithm>
+#include <cerrno>
 #include <cstring>
 #include <fstream>
 #include <unordered_map>
@@ -403,14 +407,62 @@ Status LoadBinary(std::string_view data, Graph* graph) {
   return Status::OK();
 }
 
+namespace {
+
+// Writes all of `data` to `fd`, retrying short writes and EINTR.
+bool WriteFully(int fd, const std::string& data) {
+  size_t done = 0;
+  while (done < data.size()) {
+    const ssize_t n = ::write(fd, data.data() + done, data.size() - done);
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      return false;
+    }
+    done += static_cast<size_t>(n);
+  }
+  return true;
+}
+
+// fsyncs the directory holding `path` so a completed rename survives a
+// crash.
+Status SyncParentDir(const std::string& path) {
+  const size_t slash = path.find_last_of('/');
+  std::string dir = ".";
+  if (slash != std::string::npos) {
+    dir = slash == 0 ? "/" : path.substr(0, slash);
+  }
+  const int fd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY | O_CLOEXEC);
+  if (fd < 0) return Status::Internal("cannot open directory " + dir);
+  const bool ok = ::fsync(fd) == 0;
+  ::close(fd);
+  if (!ok) return Status::Internal("fsync failed for directory " + dir);
+  return Status::OK();
+}
+
+}  // namespace
+
 Status SaveBinaryFile(const Graph& graph, const std::string& path,
                       int version) {
-  std::ofstream file(path, std::ios::binary);
-  if (!file) return Status::InvalidArgument("cannot open " + path);
-  std::string data = SaveBinary(graph, version);
-  file.write(data.data(), static_cast<std::streamsize>(data.size()));
-  if (!file.good()) return Status::Internal("write failed for " + path);
-  return Status::OK();
+  // Never truncate `path` in place: a MappedGraphView may be serving the
+  // old file, and shrinking a mapped file under a reader kills it with
+  // SIGBUS. The snapshot goes to a sibling temp file that rename(2) then
+  // swaps in atomically; existing mappings keep the old inode alive.
+  const std::string tmp = path + ".tmp." + std::to_string(::getpid());
+  const int fd =
+      ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0666);
+  if (fd < 0) return Status::InvalidArgument("cannot open " + tmp);
+  const std::string data = SaveBinary(graph, version);
+  const bool written = WriteFully(fd, data) && ::fsync(fd) == 0;
+  const bool closed = ::close(fd) == 0;
+  if (!written || !closed) {
+    ::unlink(tmp.c_str());
+    return Status::Internal("write failed for " + tmp);
+  }
+  if (::rename(tmp.c_str(), path.c_str()) != 0) {
+    ::unlink(tmp.c_str());
+    return Status::Internal("cannot rename " + tmp + " over " + path);
+  }
+  return SyncParentDir(path);
 }
 
 Status LoadBinaryFile(const std::string& path, Graph* graph) {

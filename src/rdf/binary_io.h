@@ -68,7 +68,9 @@ std::string SaveBinary(const Graph& graph, int version = kSnapshotVersionV3);
 /// fully decoded onto the heap. Term ids are preserved exactly as saved.
 Status LoadBinary(std::string_view data, Graph* graph);
 
-/// File convenience wrappers.
+/// Writes the snapshot crash-safely: to `path.tmp.<pid>`, fsync, rename(2)
+/// over `path`, fsync of the directory. A reader that has the old file
+/// mapped keeps its inode and goes on serving the old snapshot unharmed.
 Status SaveBinaryFile(const Graph& graph, const std::string& path,
                       int version = kSnapshotVersionV3);
 Status LoadBinaryFile(const std::string& path, Graph* graph);

@@ -14,6 +14,7 @@
 #include "common/trace.h"
 #include "rdf/browse.h"
 #include "sparql/bgp.h"
+#include "sparql/kernels.h"
 #include "sparql/parser.h"
 #include "sparql/planner.h"
 
@@ -48,83 +49,6 @@ void CollectAggregates(const Expr& e, std::vector<const Expr*>* out) {
   for (const ExprPtr& a : e.args) {
     if (a != nullptr) CollectAggregates(*a, out);
   }
-}
-
-/// Computes one aggregate over the rows of a group.
-Value ComputeAggregate(const Expr& agg, const std::vector<Binding>& rows,
-                       const EvalContext& ctx) {
-  if (agg.agg_star) {
-    // COUNT(*), possibly DISTINCT (over whole rows; DISTINCT * is rare).
-    return Value::Int(static_cast<int64_t>(rows.size()));
-  }
-  const Expr& arg = *agg.args[0];
-  std::vector<Value> values;
-  values.reserve(rows.size());
-  std::set<std::string> seen;
-  for (const Binding& row : rows) {
-    Value v = EvalExpr(arg, row, ctx);
-    if (v.is_unbound()) continue;
-    if (agg.agg_distinct) {
-      std::string key = v.ToTerm().ToNTriples();
-      if (!seen.insert(key).second) continue;
-    }
-    values.push_back(std::move(v));
-  }
-  switch (agg.agg) {
-    case AggFunc::kCount:
-      return Value::Int(static_cast<int64_t>(values.size()));
-    case AggFunc::kSum: {
-      bool all_int = true;
-      double sum = 0;
-      int64_t isum = 0;
-      for (const Value& v : values) {
-        auto n = v.AsNumeric();
-        if (!n.has_value()) return Value::Unbound();
-        sum += *n;
-        if (v.kind() == Value::Kind::kInt) {
-          isum += v.int_value();
-        } else {
-          all_int = false;
-        }
-      }
-      return all_int ? Value::Int(isum) : Value::Double(sum);
-    }
-    case AggFunc::kAvg: {
-      if (values.empty()) return Value::Unbound();
-      double sum = 0;
-      for (const Value& v : values) {
-        auto n = v.AsNumeric();
-        if (!n.has_value()) return Value::Unbound();
-        sum += *n;
-      }
-      return Value::Double(sum / static_cast<double>(values.size()));
-    }
-    case AggFunc::kMin:
-    case AggFunc::kMax: {
-      if (values.empty()) return Value::Unbound();
-      const Value* best = &values[0];
-      for (size_t i = 1; i < values.size(); ++i) {
-        auto c = Value::Compare(values[i], *best);
-        if (!c.has_value()) continue;
-        if ((agg.agg == AggFunc::kMin && *c < 0) ||
-            (agg.agg == AggFunc::kMax && *c > 0)) {
-          best = &values[i];
-        }
-      }
-      return *best;
-    }
-    case AggFunc::kGroupConcat: {
-      std::string out;
-      for (size_t i = 0; i < values.size(); ++i) {
-        if (i > 0) out += agg.agg_separator;
-        out += values[i].AsString();
-      }
-      return Value::String(std::move(out));
-    }
-    case AggFunc::kSample:
-      return values.empty() ? Value::Unbound() : values[0];
-  }
-  return Value::Unbound();
 }
 
 Term ValueToCell(const Value& v) {
@@ -253,11 +177,19 @@ Result<std::vector<Binding>> Executor::EvalPattern(const GraphPattern& pattern,
         }
         if (!ready) continue;
       }
+      const std::optional<NumericComparison> numeric =
+          NumericComparison::Compile(*f.el->filter, *vars);
+      auto keep = [&](const Binding& row) {
+        if (numeric.has_value()) {
+          if (auto b = numeric->Test(row, &decode_cache_)) return *b;
+        }
+        auto b = EvalExpr(*f.el->filter, row, ctx).EffectiveBool();
+        return b.has_value() && *b;
+      };
       std::vector<Binding> next;
       next.reserve(rows.size());
       for (Binding& row : rows) {
-        auto b = EvalExpr(*f.el->filter, row, ctx).EffectiveBool();
-        if (b.has_value() && *b) next.push_back(std::move(row));
+        if (keep(row)) next.push_back(std::move(row));
       }
       rows = std::move(next);
       f.done = true;
@@ -579,56 +511,6 @@ Result<ResultTable> Executor::Select(const SelectQuery& query) {
                    has_aggregate ? "group-aggregate" : "projection");
   agg_span->Arg("input_rows", static_cast<uint64_t>(rows.size()));
   if (has_aggregate) {
-    // Group rows by the GROUP BY key. With a thread budget, morsels of rows
-    // build per-morsel partial hash tables that are merged in morsel order,
-    // so every group's row list matches the serial order exactly (this is
-    // what keeps non-commutative-looking aggregates like GROUP_CONCAT and
-    // floating-point SUM byte-identical to the serial path).
-    using GroupMap = std::map<std::vector<std::string>, std::vector<Binding>>;
-    GroupMap groups;
-    if (rows.empty() && query.group_by.empty()) {
-      groups[{}] = {};  // aggregates over the empty solution: one group
-    }
-    auto key_of = [&](const Binding& row) {
-      std::vector<std::string> key;
-      key.reserve(query.group_by.size());
-      for (const ExprPtr& g : query.group_by) {
-        Value v = EvalExpr(*g, row, ctx);
-        key.push_back(v.is_unbound() ? std::string("\x01unbound")
-                                     : v.ToTerm().ToNTriples());
-      }
-      return key;
-    };
-    if (threads_ > 1 && rows.size() >= kParallelRowThreshold) {
-      auto morsels =
-          Morsels(rows.size(), static_cast<size_t>(threads_) * kMorselsPerThread,
-                  kMinMorselRows);
-      std::vector<GroupMap> parts(morsels.size());
-      ThreadPool::Shared().ParallelFor(morsels.size(), [&](size_t m) {
-        if (ctx_.ShouldStop()) return;  // abandon; trip reported below
-        auto [lo, hi] = morsels[m];
-        for (size_t r = lo; r < hi; ++r) {
-          parts[m][key_of(rows[r])].push_back(std::move(rows[r]));
-        }
-      });
-      RDFA_RETURN_NOT_OK(ctx_.Check("group-aggregate"));
-      for (GroupMap& part : parts) {
-        for (auto& [key, part_rows] : part) {
-          std::vector<Binding>& dst = groups[key];
-          for (Binding& b : part_rows) dst.push_back(std::move(b));
-        }
-      }
-      stats_.morsel_count += morsels.size();
-    } else {
-      size_t r = 0;
-      for (Binding& row : rows) {
-        if (++r % kParallelRowThreshold == 0 && ctx_.ShouldStop()) {
-          return ctx_.Check("group-aggregate");
-        }
-        groups[key_of(row)].push_back(std::move(row));
-      }
-    }
-
     // All aggregate nodes used anywhere downstream.
     std::vector<const Expr*> agg_nodes;
     for (const Projection& p : projections) {
@@ -639,25 +521,28 @@ Result<ResultTable> Executor::Select(const SelectQuery& query) {
       CollectAggregates(*k.expr, &agg_nodes);
     }
 
-    // Aggregate + HAVING + projection per group. Groups are independent, so
-    // morsels of groups run in parallel; results land in pre-sized slots and
-    // survivors are appended in group (map) order — deterministic.
-    std::vector<std::vector<Binding>*> group_rows_list;
-    group_rows_list.reserve(groups.size());
-    for (auto& [key, group_rows] : groups) group_rows_list.push_back(&group_rows);
+    GroupAggregator groups(query.group_by, std::move(agg_nodes), ctx,
+                           &decode_cache_);
+    std::vector<std::pair<size_t, size_t>> morsels = {{0, rows.size()}};
+    if (threads_ > 1 && rows.size() >= kParallelRowThreshold) {
+      morsels = Morsels(rows.size(),
+                        static_cast<size_t>(threads_) * kMorselsPerThread,
+                        kMinMorselRows);
+    }
+    RDFA_RETURN_NOT_OK(groups.Run(rows, morsels, ctx_));
+    if (morsels.size() > 1) stats_.morsel_count += morsels.size();
+
+    // HAVING + projection per group. Groups are independent, so morsels of
+    // groups run in parallel; results land in pre-sized slots and survivors
+    // are appended in group order — deterministic.
     struct GroupOut {
       OutRow row;
       bool keep = false;
     };
-    std::vector<GroupOut> gout(group_rows_list.size());
+    std::vector<GroupOut> gout(groups.size());
     auto compute_group = [&](size_t gi) {
-      std::vector<Binding>& group_rows = *group_rows_list[gi];
-      Binding rep = group_rows.empty() ? Binding(vars.size(), kNoTermId)
-                                       : group_rows.front();
-      std::map<const Expr*, Value> agg_values;
-      for (const Expr* node : agg_nodes) {
-        agg_values[node] = ComputeAggregate(*node, group_rows, ctx);
-      }
+      const Binding rep = groups.Representative(gi);
+      std::map<const Expr*, Value> agg_values = groups.Aggregates(gi);
       EvalContext gctx{&graph_->terms(), &vars, &agg_values};
       // HAVING.
       for (const ExprPtr& h : query.having) {
@@ -682,12 +567,12 @@ Result<ResultTable> Executor::Select(const SelectQuery& query) {
         }
       }
     };
-    if (threads_ > 1 && group_rows_list.size() >= 2) {
-      auto morsels = Morsels(group_rows_list.size(),
-                             static_cast<size_t>(threads_) * kMorselsPerThread,
-                             /*min_grain=*/1);
-      ThreadPool::Shared().ParallelFor(morsels.size(), [&](size_t m) {
-        auto [lo, hi] = morsels[m];
+    if (threads_ > 1 && groups.size() >= 2) {
+      auto group_morsels = Morsels(
+          groups.size(), static_cast<size_t>(threads_) * kMorselsPerThread,
+          /*min_grain=*/1);
+      ThreadPool::Shared().ParallelFor(group_morsels.size(), [&](size_t m) {
+        auto [lo, hi] = group_morsels[m];
         for (size_t gi = lo; gi < hi; ++gi) {
           // One counted checkpoint per group: a cancel mid-aggregate trips
           // here, and the per-group check count matches the serial path so
@@ -697,9 +582,9 @@ Result<ResultTable> Executor::Select(const SelectQuery& query) {
         }
       });
       RDFA_RETURN_NOT_OK(ctx_.Check("group-aggregate"));
-      stats_.morsel_count += morsels.size();
+      stats_.morsel_count += group_morsels.size();
     } else {
-      for (size_t gi = 0; gi < group_rows_list.size(); ++gi) {
+      for (size_t gi = 0; gi < groups.size(); ++gi) {
         RDFA_RETURN_NOT_OK(ctx_.Check("group-aggregate"));
         compute_group(gi);
       }
@@ -881,6 +766,7 @@ Result<size_t> Executor::Describe(const DescribeQuery& query,
 
 Result<ResultTable> Executor::Execute(const ParsedQuery& query) {
   stats_.Reset();
+  decode_cache_.Clear();
   stats_.threads = threads_;
   bgp_seq_ = 0;
   auto total_start = std::chrono::steady_clock::now();
@@ -1079,6 +965,7 @@ std::string Executor::ExplainJson(const ParsedQuery& query) {
 
 Result<Executor::UpdateStats> Executor::Update(const UpdateRequest& request) {
   UpdateStats stats;
+  decode_cache_.Clear();
 
   // Ground templates (INSERT DATA / DELETE DATA): no variables allowed.
   auto ground_triples = [&](const std::vector<TriplePattern>& tmpl,

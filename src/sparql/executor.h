@@ -12,6 +12,7 @@
 #include "sparql/bgp.h"
 #include "sparql/exec_stats.h"
 #include "sparql/expr_eval.h"
+#include "sparql/kernels.h"
 #include "sparql/result_table.h"
 
 namespace rdfa::sparql {
@@ -33,7 +34,8 @@ class Executor {
       : graph_(graph),
         reorder_joins_(reorder_joins),
         push_filters_(push_filters),
-        threads_(threads < 1 ? 1 : threads) {}
+        threads_(threads < 1 ? 1 : threads),
+        decode_cache_(&graph->terms()) {}
 
   /// Adjusts the thread budget for subsequent queries.
   void set_thread_count(int threads) { threads_ = threads < 1 ? 1 : threads; }
@@ -153,6 +155,9 @@ class Executor {
   bool sip_ = true;
   ExecStats stats_;
   QueryContext ctx_;
+  /// Numeric decodes shared by FILTER comparisons and aggregates; cleared
+  /// by Execute() and Update() so its memory lasts one query.
+  TermDecodeCache decode_cache_;
   const std::vector<std::vector<int>>* replay_orders_ = nullptr;
   std::vector<std::vector<int>>* capture_orders_ = nullptr;
   size_t bgp_seq_ = 0;

@@ -16,6 +16,7 @@
 #include "rdf/browse.h"
 #include "rdf/ntriples.h"
 #include "rdf/rdfs.h"
+#include "test_temp_path.h"
 #include "viz/chart.h"
 #include "viz/table_render.h"
 #include "workload/products.h"
@@ -142,7 +143,7 @@ TEST(BinaryIoTest, RequiresEmptyGraph) {
 TEST(BinaryIoTest, FileRoundTrip) {
   rdf::Graph g;
   workload::BuildRunningExample(&g);
-  std::string path = ::testing::TempDir() + "/rdfa_snapshot.bin";
+  std::string path = testing_util::TestTempPath("rdfa_snapshot.bin");
   ASSERT_TRUE(rdf::SaveBinaryFile(g, path).ok());
   rdf::Graph loaded;
   ASSERT_TRUE(rdf::LoadBinaryFile(path, &loaded).ok());

@@ -35,6 +35,7 @@
 #include "sparql/bgp.h"
 #include "sparql/executor.h"
 #include "sparql/parser.h"
+#include "test_temp_path.h"
 #include "workload/invoices.h"
 #include "workload/products.h"
 
@@ -743,10 +744,9 @@ TEST(QueryLogTest, FormatProducesOneWellFormedJsonLine) {
 
 TEST(QueryLogTest, EndpointWritesTraceFilesAndStructuredLog) {
   namespace fs = std::filesystem;
-  const std::string dir =
-      ::testing::TempDir() + "rdfa_obs_trace";
+  const std::string dir = testing_util::TestTempPath("rdfa_obs_trace");
   const std::string log_path =
-      ::testing::TempDir() + "rdfa_obs_queries.jsonl";
+      testing_util::TestTempPath("rdfa_obs_queries.jsonl");
   std::error_code ec;
   fs::remove_all(dir, ec);
   fs::remove(log_path, ec);
@@ -879,7 +879,7 @@ TEST(TraceSinkTest, DisabledSinkIsInertEnabledSinkWritesFiles) {
   EXPECT_EQ(sink.StartRun(), nullptr);
   EXPECT_EQ(sink.FinishRun(nullptr, "x"), "");
 
-  const std::string dir = ::testing::TempDir() + "rdfa_obs_sink";
+  const std::string dir = testing_util::TestTempPath("rdfa_obs_sink");
   std::error_code ec;
   std::filesystem::remove_all(dir, ec);
   sink.set_dir(dir);
@@ -1150,7 +1150,7 @@ TEST(QueryRegistryTest, ConcurrentRegisterSampleKill) {
 
 TEST(SlowQueryCaptureTest, RingNeverGrowsPastMaxFiles) {
   namespace fs = std::filesystem;
-  const std::string dir = ::testing::TempDir() + "rdfa_obs_slow_ring";
+  const std::string dir = testing_util::TestTempPath("rdfa_obs_slow_ring");
   std::error_code ec;
   fs::remove_all(dir, ec);
 
@@ -1185,7 +1185,7 @@ TEST(SlowQueryCaptureTest, RingNeverGrowsPastMaxFiles) {
 
 TEST(SlowQueryCaptureTest, EndpointCapturesForensicRecordWithProfile) {
   namespace fs = std::filesystem;
-  const std::string dir = ::testing::TempDir() + "rdfa_obs_slow_ep";
+  const std::string dir = testing_util::TestTempPath("rdfa_obs_slow_ep");
   std::error_code ec;
   fs::remove_all(dir, ec);
 
@@ -1233,7 +1233,7 @@ struct ExplainFixture {
     opt.laptops = 120;
     opt.seed = 7;
     workload::GenerateProductKg(heap.get(), opt);
-    snapshot_path = ::testing::TempDir() + "rdfa_obs_explain.rdfa";
+    snapshot_path = testing_util::TestTempPath("rdfa_obs_explain.rdfa");
     EXPECT_TRUE(rdf::SaveBinaryFile(*heap, snapshot_path).ok());
     auto opened = rdf::OpenMappedSnapshot(snapshot_path);
     EXPECT_TRUE(opened.ok());
@@ -1376,7 +1376,7 @@ TEST(ExplainTest, AnalyzeProfileReconcilesWithExecStats) {
 
 TEST(StorageSpanTest, MvccCommitAndWalReplayEmitSpans) {
   MetricsRegistry::Global().ResetForTest();
-  const std::string wal_path = ::testing::TempDir() + "rdfa_obs_wal.log";
+  const std::string wal_path = testing_util::TestTempPath("rdfa_obs_wal.log");
   std::remove(wal_path.c_str());
 
   auto commit_tracer = std::make_shared<Tracer>();

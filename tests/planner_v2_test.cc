@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <array>
+#include <cstdio>
 #include <memory>
 #include <string>
 #include <vector>
@@ -23,6 +24,7 @@
 #include "sparql/parser.h"
 #include "sparql/plan_cache.h"
 #include "sparql/planner.h"
+#include "test_temp_path.h"
 #include "workload/products.h"
 
 namespace rdfa {
@@ -47,11 +49,12 @@ std::unique_ptr<Graph> BuildKg(uint64_t seed, size_t laptops) {
 
 // Round-trips `g` through an RDFA3 snapshot and opens it as a mapped graph.
 std::unique_ptr<Graph> OpenMapped(const Graph& g, const std::string& tag) {
-  const std::string path = ::testing::TempDir() + "planner_v2_" + tag +
-                           ".rdfa";
+  const std::string path =
+      testing_util::TestTempPath("planner_v2_" + tag + ".rdfa");
   EXPECT_TRUE(rdf::SaveBinaryFile(g, path).ok());
   auto mapped = rdf::OpenMappedSnapshot(path);
   EXPECT_TRUE(mapped.ok()) << mapped.status().message();
+  std::remove(path.c_str());  // the mapping keeps the inode alive
   return std::move(mapped).value();
 }
 

@@ -3,9 +3,12 @@
 // must produce byte-identical results whether the graph was fully decoded
 // onto the heap or is being served lazily off a compressed mapped snapshot.
 
+#include <unistd.h>
+
 #include <algorithm>
 #include <atomic>
 #include <cstdio>
+#include <filesystem>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -25,6 +28,7 @@
 #include "sparql/executor.h"
 #include "sparql/parser.h"
 #include "sparql/results_io.h"
+#include "test_temp_path.h"
 #include "workload/invoices.h"
 #include "workload/products.h"
 
@@ -54,7 +58,7 @@ const char* const kQueries[] = {
 };
 
 std::string TempPath(const std::string& tag) {
-  return ::testing::TempDir() + "storage_backend_" + tag + ".rdfa";
+  return testing_util::TestTempPath("storage_backend_" + tag + ".rdfa");
 }
 
 std::unique_ptr<Graph> BuildKg(uint64_t seed) {
@@ -97,6 +101,9 @@ BackendPair SaveAndReopen(const Graph& g, const std::string& tag) {
   auto mapped = rdf::OpenMappedSnapshot(path);
   EXPECT_TRUE(mapped.ok()) << mapped.status().message();
   pair.mapped = std::move(mapped).value();
+  // The mapping keeps the file's inode alive; unlinking now leaves nothing
+  // behind in the temp directory.
+  std::remove(path.c_str());
   return pair;
 }
 
@@ -292,6 +299,39 @@ TEST(StorageBackendTest, MappedGraphMaterializesOnFirstWrite) {
     }
     EXPECT_EQ(RunQuery(pair.heap.get(), q, 1), RunQuery(&mapped, q, 1));
   }
+}
+
+// Saving over a snapshot that a live view maps must leave the view serving
+// the old bytes: the save renames a new file into place instead of
+// truncating the mapped one (which killed the reader with SIGBUS).
+TEST(StorageBackendTest, OverwritingMappedSnapshotKeepsOldMappingServing) {
+  const std::string path = TempPath("overwrite");
+  auto original = BuildKg(42);
+  ASSERT_TRUE(rdf::SaveBinaryFile(*original, path).ok());
+  auto opened = rdf::OpenMappedSnapshot(path);
+  ASSERT_TRUE(opened.ok()) << opened.status().message();
+  std::unique_ptr<Graph> old_view = std::move(opened).value();
+  ASSERT_NE(old_view->mapped(), nullptr);
+
+  Graph smaller;
+  workload::BuildInvoicesExample(&smaller);
+  ASSERT_TRUE(rdf::SaveBinaryFile(smaller, path).ok());
+
+  // The old mapping has not decoded its blocks yet; it must still answer
+  // every query byte-identically to the graph it was saved from.
+  for (const char* q : kQueries) {
+    for (int threads : {1, 4}) {
+      EXPECT_EQ(RunQuery(old_view.get(), q, threads),
+                RunQuery(original.get(), q, threads))
+          << q;
+    }
+  }
+  auto reopened = rdf::OpenMappedSnapshot(path);
+  ASSERT_TRUE(reopened.ok()) << reopened.status().message();
+  EXPECT_EQ(reopened.value()->size(), smaller.size());
+  EXPECT_FALSE(std::filesystem::exists(path + ".tmp." +
+                                       std::to_string(::getpid())));
+  std::remove(path.c_str());
 }
 
 TEST(StorageBackendTest, MvccCommitReadRacesByteIdenticalAcrossBackends) {
