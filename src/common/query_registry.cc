@@ -8,6 +8,20 @@
 
 namespace rdfa {
 
+namespace {
+
+constexpr auto kRelaxed = std::memory_order_relaxed;
+
+int64_t Ticks(QueryContext::Clock::time_point t) {
+  return t.time_since_epoch().count();
+}
+
+QueryContext::Clock::time_point FromTicks(int64_t ticks) {
+  return QueryContext::Clock::time_point(QueryContext::Clock::duration(ticks));
+}
+
+}  // namespace
+
 QueryRegistry& QueryRegistry::Global() {
   static QueryRegistry* registry = new QueryRegistry();
   return *registry;
@@ -29,23 +43,31 @@ QueryRegistry::Handle QueryRegistry::Register(QueryContext* ctx,
   if (index == kSlots) return handle;  // pool full: run unregistered
 
   Slot& slot = slots_[index];
-  const int64_t id = next_id_.fetch_add(1, std::memory_order_relaxed);
-  // Seqlock write: odd while the metadata is inconsistent.
-  slot.seq.fetch_add(1, std::memory_order_acquire);
-  slot.id = id;
-  slot.query_hash = query_hash;
-  slot.snapshot_epoch = snapshot_epoch;
-  slot.start = QueryContext::Clock::now();
-  slot.has_deadline = ctx->has_deadline();
-  slot.deadline = ctx->deadline();
-  const size_t n = std::min(query_text.size(), sizeof(slot.head) - 1);
-  std::memcpy(slot.head, query_text.data(), n);
-  slot.head[n] = '\0';
-  slot.progress.stage.store(nullptr, std::memory_order_relaxed);
-  slot.progress.rows.store(0, std::memory_order_relaxed);
+  const int64_t id = next_id_.fetch_add(1, kRelaxed);
+  char head[kHeadWords * sizeof(uint64_t)] = {};
+  std::memcpy(head, query_text.data(),
+              std::min(query_text.size(), sizeof(head) - 1));
+  // Seqlock write (writers serialize on mu_): odd while the metadata is
+  // inconsistent; the release fence keeps the field stores after it.
+  const uint64_t seq = slot.seq.load(kRelaxed);
+  slot.seq.store(seq + 1, kRelaxed);
+  std::atomic_thread_fence(std::memory_order_release);
+  slot.id.store(id, kRelaxed);
+  slot.query_hash.store(query_hash, kRelaxed);
+  slot.snapshot_epoch.store(snapshot_epoch, kRelaxed);
+  slot.start.store(Ticks(QueryContext::Clock::now()), kRelaxed);
+  slot.has_deadline.store(ctx->has_deadline(), kRelaxed);
+  slot.deadline.store(Ticks(ctx->deadline()), kRelaxed);
+  for (size_t w = 0; w < kHeadWords; ++w) {
+    uint64_t word;
+    std::memcpy(&word, head + w * sizeof(word), sizeof(word));
+    slot.head[w].store(word, kRelaxed);
+  }
+  slot.progress.stage.store(nullptr, kRelaxed);
+  slot.progress.rows.store(0, kRelaxed);
   slot.cancel_ctx = *ctx;  // shares cancellation state: Kill() cancels it
-  slot.occupied.store(true, std::memory_order_relaxed);
-  slot.seq.fetch_add(1, std::memory_order_release);
+  slot.occupied.store(true, kRelaxed);
+  slot.seq.store(seq + 2, std::memory_order_release);
 
   ctx->set_progress(&slot.progress);
 
@@ -64,11 +86,13 @@ QueryRegistry::Handle QueryRegistry::Register(QueryContext* ctx,
 void QueryRegistry::Unregister(size_t slot_index, int64_t id) {
   std::lock_guard<std::mutex> lock(mu_);
   Slot& slot = slots_[slot_index];
-  if (slot.id != id || !slot.occupied.load(std::memory_order_relaxed)) return;
-  slot.seq.fetch_add(1, std::memory_order_acquire);
-  slot.occupied.store(false, std::memory_order_relaxed);
+  if (slot.id.load(kRelaxed) != id || !slot.occupied.load(kRelaxed)) return;
+  const uint64_t seq = slot.seq.load(kRelaxed);
+  slot.seq.store(seq + 1, kRelaxed);
+  std::atomic_thread_fence(std::memory_order_release);
+  slot.occupied.store(false, kRelaxed);
   slot.cancel_ctx = QueryContext();  // drop the shared cancellation state
-  slot.seq.fetch_add(1, std::memory_order_release);
+  slot.seq.store(seq + 2, std::memory_order_release);
   MetricsRegistry::Global()
       .GetGauge("rdfa_inflight_queries")
       .Set(static_cast<double>(CountOccupiedLocked()));
@@ -77,7 +101,7 @@ void QueryRegistry::Unregister(size_t slot_index, int64_t id) {
 size_t QueryRegistry::CountOccupiedLocked() const {
   size_t n = 0;
   for (const Slot& s : slots_) {
-    if (s.occupied.load(std::memory_order_relaxed)) ++n;
+    if (s.occupied.load(kRelaxed)) ++n;
   }
   return n;
 }
@@ -98,29 +122,36 @@ std::vector<InflightQuery> QueryRegistry::Snapshot() const {
     for (int attempt = 0; attempt < 16; ++attempt) {
       const uint64_t s0 = slot.seq.load(std::memory_order_acquire);
       if (s0 & 1) continue;  // mid-write; retry
-      if (!slot.occupied.load(std::memory_order_relaxed)) break;
-      q.id = slot.id;
-      q.query_hash = slot.query_hash;
-      q.snapshot_epoch = slot.snapshot_epoch;
-      q.head.assign(slot.head,
-                    strnlen(slot.head, sizeof(slot.head)));
+      if (!slot.occupied.load(kRelaxed)) break;
+      q.id = slot.id.load(kRelaxed);
+      q.query_hash = slot.query_hash.load(kRelaxed);
+      q.snapshot_epoch = slot.snapshot_epoch.load(kRelaxed);
+      char head[kHeadWords * sizeof(uint64_t)];
+      for (size_t w = 0; w < kHeadWords; ++w) {
+        const uint64_t word = slot.head[w].load(kRelaxed);
+        std::memcpy(head + w * sizeof(word), &word, sizeof(word));
+      }
+      const auto start = FromTicks(slot.start.load(kRelaxed));
+      const bool has_deadline = slot.has_deadline.load(kRelaxed);
+      const auto deadline = FromTicks(slot.deadline.load(kRelaxed));
+      // The loads above are ordered before the re-check of the sequence.
+      std::atomic_thread_fence(std::memory_order_acquire);
+      if (slot.seq.load(kRelaxed) != s0) continue;
+      q.head.assign(head, strnlen(head, sizeof(head)));
       q.elapsed_ms =
-          std::chrono::duration<double, std::milli>(now - slot.start).count();
+          std::chrono::duration<double, std::milli>(now - start).count();
       q.deadline_remaining_ms =
-          slot.has_deadline
-              ? std::chrono::duration<double, std::milli>(slot.deadline - now)
+          has_deadline
+              ? std::chrono::duration<double, std::milli>(deadline - now)
                     .count()
               : std::numeric_limits<double>::infinity();
-      std::atomic_thread_fence(std::memory_order_acquire);
-      if (slot.seq.load(std::memory_order_acquire) == s0) {
-        ok = true;
-        break;
-      }
+      ok = true;
+      break;
     }
     if (!ok) continue;
     // Relaxed telemetry — read outside the seqlock on purpose.
-    q.stage = slot.progress.stage.load(std::memory_order_relaxed);
-    q.rows = slot.progress.rows.load(std::memory_order_relaxed);
+    q.stage = slot.progress.stage.load(kRelaxed);
+    q.rows = slot.progress.rows.load(kRelaxed);
     out.push_back(std::move(q));
   }
   std::sort(out.begin(), out.end(),
@@ -133,7 +164,7 @@ std::vector<InflightQuery> QueryRegistry::Snapshot() const {
 bool QueryRegistry::Kill(int64_t id) {
   std::lock_guard<std::mutex> lock(mu_);
   for (Slot& slot : slots_) {
-    if (slot.occupied.load(std::memory_order_relaxed) && slot.id == id) {
+    if (slot.occupied.load(kRelaxed) && slot.id.load(kRelaxed) == id) {
       slot.cancel_ctx.Cancel();
       MetricsRegistry::Global()
           .GetCounter("rdfa_queries_killed_total",

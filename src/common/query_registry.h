@@ -34,7 +34,9 @@ struct InflightQuery {
 /// query shutdown. Slot metadata (id, hash, head, deadline) is guarded by a
 /// per-slot seqlock: writers (Register/Unregister, rare) bump the sequence
 /// to odd, mutate, bump to even; Snapshot() retries a slot while the
-/// sequence is odd or changed across the read. stage/rows ride outside the
+/// sequence is odd or changed across the read. The metadata fields are
+/// relaxed atomics (the head as an array of words), so a read that races a
+/// write is a discarded retry, never a data race. stage/rows ride outside the
 /// seqlock as relaxed atomics — monotonic telemetry where a momentarily
 /// stale read is fine. Register/Unregister/Kill serialize on one mutex;
 /// that path runs twice per query and never contends with sampling.
@@ -99,17 +101,21 @@ class QueryRegistry {
   void UpdateStageGauges();
 
  private:
+  /// Words of the head buffer: 96 bytes, NUL-terminated.
+  static constexpr size_t kHeadWords = 12;
+
   struct Slot {
     /// Seqlock over the metadata below: even = stable, odd = mid-write.
     std::atomic<uint64_t> seq{0};
     std::atomic<bool> occupied{false};
-    int64_t id = -1;
-    uint64_t query_hash = 0;
-    uint64_t snapshot_epoch = 0;
-    QueryContext::Clock::time_point start{};
-    QueryContext::Clock::time_point deadline{};
-    bool has_deadline = false;
-    char head[96] = {0};
+    std::atomic<int64_t> id{-1};
+    std::atomic<uint64_t> query_hash{0};
+    std::atomic<uint64_t> snapshot_epoch{0};
+    /// Clock ticks since the epoch of QueryContext::Clock.
+    std::atomic<int64_t> start{0};
+    std::atomic<int64_t> deadline{0};
+    std::atomic<bool> has_deadline{false};
+    std::atomic<uint64_t> head[kHeadWords] = {};
     /// Progress atomics sampled raw — owned here, reused, never freed.
     QueryProgress progress;
     /// Cancellable copy of the registered context; touched only under

@@ -79,4 +79,39 @@ void Expr::CollectVars(std::set<std::string>* out) const {
   }
 }
 
+namespace {
+
+void CollectExprVars(const Expr& e, std::set<std::string>* out) {
+  if (e.kind == Expr::Kind::kVar) out->insert(e.var);
+  if (e.pattern != nullptr) CollectPatternVars(*e.pattern, out);
+  for (const ExprPtr& a : e.args) {
+    if (a != nullptr) CollectExprVars(*a, out);
+  }
+}
+
+}  // namespace
+
+void CollectPatternVars(const GraphPattern& pattern,
+                        std::set<std::string>* out) {
+  for (const PatternElement& el : pattern.elements) {
+    for (const NodePattern* n : {&el.triple.s, &el.triple.p, &el.triple.o}) {
+      if (n->is_var) out->insert(n->var);
+    }
+    if (el.filter != nullptr) CollectExprVars(*el.filter, out);
+    if (el.bind_expr != nullptr) {
+      CollectExprVars(*el.bind_expr, out);
+      out->insert(el.bind_var);
+    }
+    if (el.kind == PatternElement::Kind::kValues) out->insert(el.values_var);
+    if (el.child != nullptr) CollectPatternVars(*el.child, out);
+    if (el.child2 != nullptr) CollectPatternVars(*el.child2, out);
+    if (el.sub_select != nullptr) {
+      for (const Projection& p : el.sub_select->projections) {
+        out->insert(p.var);
+      }
+      CollectPatternVars(el.sub_select->where, out);
+    }
+  }
+}
+
 }  // namespace rdfa::sparql

@@ -126,6 +126,14 @@ struct GraphPattern {
   std::vector<PatternElement> elements;
 };
 
+/// Adds every variable name evaluating `pattern` can give a slot to, or an
+/// expression in it can read, to `*out`: triple and path endpoints, BIND
+/// and VALUES targets, sub-select columns and the variables of FILTER and
+/// BIND expressions, EXISTS probes and nested groups included. Its size
+/// bounds the slot count of any evaluation of the pattern.
+void CollectPatternVars(const GraphPattern& pattern,
+                        std::set<std::string>* out);
+
 /// One projected column: a plain variable or `(expr AS ?alias)`.
 struct Projection {
   std::string var;   // output name (alias for expressions)

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cassert>
 #include <numeric>
 #include <set>
 #include <unordered_map>
@@ -143,24 +144,29 @@ std::vector<int> GreedyOrder(const rdf::Graph& graph,
 }
 
 // Extends `row` with triple `t` under pattern `p` (re-checking
-// same-variable positions, e.g. ?x p ?x); appends to `*out` on success.
-// Returns false only on a conflict.
-inline void ExtendRow(const CompiledPattern& p, const Binding& row,
-                      const rdf::TripleId& t, std::vector<Binding>* out) {
-  Binding extended = row;
-  bool ok = true;
+// same-variable positions, e.g. ?x p ?x): appends a copy of the row to
+// `*out`, writes the pattern's slots, and takes the row back on a conflict.
+inline void ExtendRow(const CompiledPattern& p, RowView row,
+                      const rdf::TripleId& t, BindingTable* out) {
+  std::span<TermId> extended = out->Append(row);
   auto bind = [&](int var, TermId value) {
-    if (var < 0) return;
-    if (extended[var] != kNoTermId && extended[var] != value) {
-      ok = false;
-      return;
-    }
+    if (var < 0) return true;
+    if (extended[var] != kNoTermId && extended[var] != value) return false;
     extended[var] = value;
+    return true;
   };
-  bind(p.s_var, t.s);
-  if (ok) bind(p.p_var, t.p);
-  if (ok) bind(p.o_var, t.o);
-  if (ok) out->push_back(std::move(extended));
+  if (!bind(p.s_var, t.s) || !bind(p.p_var, t.p) || !bind(p.o_var, t.o)) {
+    out->PopBack();
+  }
+}
+
+// Concatenates morsel outputs in morsel order, which keeps a parallel
+// step's output byte-identical to the serial one.
+void Concatenate(const std::vector<BindingTable>& parts, BindingTable* out) {
+  size_t total = out->size();
+  for (const BindingTable& part : parts) total += part.size();
+  out->reserve(total);
+  for (const BindingTable& part : parts) out->Append(part);
 }
 
 // Extends every row in [begin, end) of `rows` through `p`, appending the
@@ -169,12 +175,12 @@ inline void ExtendRow(const CompiledPattern& p, const Binding& row,
 // rows and abandons the remaining range once it trips (the caller turns the
 // trip into a typed Status; the partial output is discarded).
 size_t ExtendRange(const rdf::Graph& graph, const CompiledPattern& p,
-                   const std::vector<Binding>& rows, size_t begin, size_t end,
-                   const QueryContext* ctx, std::vector<Binding>* out) {
+                   const BindingTable& rows, size_t begin, size_t end,
+                   const QueryContext* ctx, BindingTable* out) {
   size_t scanned = 0;
   bool stopped = false;
   for (size_t r = begin; r < end && !stopped; ++r) {
-    const Binding& row = rows[r];
+    const RowView row = rows[r];
     TermId s = p.s_var < 0 ? p.s_id : row[p.s_var];
     TermId pp = p.p_var < 0 ? p.p_id : row[p.p_var];
     TermId o = p.o_var < 0 ? p.o_id : row[p.o_var];
@@ -217,10 +223,10 @@ struct HashPlan {
 };
 
 HashPlan PlanHash(const rdf::Graph& graph, const CompiledPattern& p,
-                  const std::vector<Binding>& rows, JoinStrategy strategy) {
+                  const BindingTable& rows, JoinStrategy strategy) {
   HashPlan plan;
   if (strategy == JoinStrategy::kNestedLoop || rows.empty()) return plan;
-  const Binding& first = rows.front();
+  const RowView first = rows[0];
   plan.key_s = p.s_var >= 0 && first[p.s_var] != kNoTermId;
   plan.key_p = p.p_var >= 0 && first[p.p_var] != kNoTermId;
   plan.key_o = p.o_var >= 0 && first[p.o_var] != kNoTermId;
@@ -315,13 +321,13 @@ Status BuildHashTable(const rdf::Graph& graph, const CompiledPattern& p,
 // into *probe_hits.
 size_t ProbeHashRange(const rdf::Graph& graph, const CompiledPattern& p,
                       const HashPlan& plan, const HashTable& table,
-                      const std::vector<Binding>& rows, size_t begin,
-                      size_t end, const QueryContext* ctx,
-                      std::vector<Binding>* out, size_t* probe_hits) {
+                      const BindingTable& rows, size_t begin, size_t end,
+                      const QueryContext* ctx, BindingTable* out,
+                      size_t* probe_hits) {
   size_t fallback_scanned = 0;
   bool stopped = false;
   for (size_t r = begin; r < end && !stopped; ++r) {
-    const Binding& row = rows[r];
+    const RowView row = rows[r];
     const bool s_bound = p.s_var >= 0 && row[p.s_var] != kNoTermId;
     const bool p_bound = p.p_var >= 0 && row[p.p_var] != kNoTermId;
     const bool o_bound = p.o_var >= 0 && row[p.o_var] != kNoTermId;
@@ -366,14 +372,13 @@ size_t ProbeHashRange(const rdf::Graph& graph, const CompiledPattern& p,
 // caller.
 Status ExecuteAdaptiveStep(const rdf::Graph& graph, const CompiledPattern& p,
                            int source_pattern, const JoinOptions& opts,
-                           int threads, Tracer* tracer,
-                           std::vector<Binding>* rows) {
+                           int threads, Tracer* tracer, BindingTable* rows) {
   // One typed check per join stage; scans poll the cheap flag inline.
   if (opts.ctx != nullptr) RDFA_RETURN_NOT_OK(opts.ctx->Check("bgp-join"));
   TraceSpan join_span(tracer, "bgp-join");
   join_span.Arg("pattern", static_cast<int64_t>(source_pattern));
   join_span.Arg("input_rows", static_cast<uint64_t>(rows->size()));
-  std::vector<Binding> next;
+  BindingTable next(rows->width());
   next.reserve(rows->size());
   size_t scanned = 0;
   char strategy_used = 'N';
@@ -404,7 +409,8 @@ Status ExecuteAdaptiveStep(const rdf::Graph& graph, const CompiledPattern& p,
             Morsels(rows->size(),
                     static_cast<size_t>(threads) * kMorselsPerThread,
                     kMinMorselRows);
-        std::vector<std::vector<Binding>> parts(morsels.size());
+        std::vector<BindingTable> parts(morsels.size(),
+                                        BindingTable(rows->width()));
         std::vector<size_t> part_scanned(morsels.size(), 0);
         std::vector<size_t> part_hits(morsels.size(), 0);
         ThreadPool::Shared().ParallelFor(morsels.size(), [&](size_t m) {
@@ -417,8 +423,8 @@ Status ExecuteAdaptiveStep(const rdf::Graph& graph, const CompiledPattern& p,
         for (size_t m = 0; m < morsels.size(); ++m) {
           scanned += part_scanned[m];
           probe_hits += part_hits[m];
-          for (Binding& b : parts[m]) next.push_back(std::move(b));
         }
+        Concatenate(parts, &next);
         if (opts.stats != nullptr) {
           opts.stats->morsel_count += morsels.size();
         }
@@ -432,7 +438,7 @@ Status ExecuteAdaptiveStep(const rdf::Graph& graph, const CompiledPattern& p,
   } else if (threads > 1 && rows->size() == 1) {
     // Single seed row (the common first pattern): materialize the index
     // range once and split *it* into morsels.
-    const Binding& row = rows->front();
+    const RowView row = (*rows)[0];
     TermId s = p.s_var < 0 ? p.s_id : row[p.s_var];
     TermId pp = p.p_var < 0 ? p.p_id : row[p.p_var];
     TermId o = p.o_var < 0 ? p.o_id : row[p.o_var];
@@ -450,7 +456,8 @@ Status ExecuteAdaptiveStep(const rdf::Graph& graph, const CompiledPattern& p,
         ExtendRow(p, row, matches[i], &next);
       }
     } else {
-      std::vector<std::vector<Binding>> parts(morsels.size());
+      std::vector<BindingTable> parts(morsels.size(),
+                                      BindingTable(rows->width()));
       ThreadPool::Shared().ParallelFor(morsels.size(), [&](size_t m) {
         auto [lo, hi] = morsels[m];
         parts[m].reserve(hi - lo);
@@ -462,9 +469,7 @@ Status ExecuteAdaptiveStep(const rdf::Graph& graph, const CompiledPattern& p,
           ExtendRow(p, row, matches[i], &parts[m]);
         }
       });
-      for (std::vector<Binding>& part : parts) {
-        for (Binding& b : part) next.push_back(std::move(b));
-      }
+      Concatenate(parts, &next);
       if (opts.stats != nullptr) opts.stats->morsel_count += morsels.size();
     }
   } else if (threads > 1 && rows->size() >= 2 * kMinMorselRows) {
@@ -473,7 +478,8 @@ Status ExecuteAdaptiveStep(const rdf::Graph& graph, const CompiledPattern& p,
     auto morsels = Morsels(rows->size(),
                            static_cast<size_t>(threads) * kMorselsPerThread,
                            kMinMorselRows);
-    std::vector<std::vector<Binding>> parts(morsels.size());
+    std::vector<BindingTable> parts(morsels.size(),
+                                    BindingTable(rows->width()));
     std::vector<size_t> part_scanned(morsels.size(), 0);
     ThreadPool::Shared().ParallelFor(morsels.size(), [&](size_t m) {
       if (opts.ctx != nullptr && opts.ctx->ShouldStop()) return;
@@ -481,10 +487,8 @@ Status ExecuteAdaptiveStep(const rdf::Graph& graph, const CompiledPattern& p,
       part_scanned[m] =
           ExtendRange(graph, p, *rows, lo, hi, opts.ctx, &parts[m]);
     });
-    for (size_t m = 0; m < morsels.size(); ++m) {
-      scanned += part_scanned[m];
-      for (Binding& b : parts[m]) next.push_back(std::move(b));
-    }
+    for (size_t m = 0; m < morsels.size(); ++m) scanned += part_scanned[m];
+    Concatenate(parts, &next);
     if (opts.stats != nullptr) opts.stats->morsel_count += morsels.size();
   } else {
     scanned = ExtendRange(graph, p, *rows, 0, rows->size(), opts.ctx, &next);
@@ -519,14 +523,14 @@ Status ExecuteAdaptiveStep(const rdf::Graph& graph, const CompiledPattern& p,
 Status ExecuteSeedStep(const rdf::Graph& graph, const CompiledPattern& p,
                        int source_pattern, const PlannedStep& step,
                        const JoinOptions& opts, int threads, Tracer* tracer,
-                       std::vector<Binding>* rows) {
+                       BindingTable* rows) {
   if (opts.ctx != nullptr) RDFA_RETURN_NOT_OK(opts.ctx->Check("bgp-join"));
   TraceSpan join_span(tracer, "bgp-join");
   join_span.Arg("pattern", static_cast<int64_t>(source_pattern));
   join_span.Arg("input_rows", static_cast<uint64_t>(rows->size()));
   join_span.Arg("strategy", "seed-scan");
   join_span.Arg("perm", PermName(step.perm));
-  const Binding row = rows->front();
+  const RowView row = (*rows)[0];
   std::vector<rdf::TripleId> matches;
   bool stopped = false;
   size_t scanned = 0;
@@ -544,7 +548,7 @@ Status ExecuteSeedStep(const rdf::Graph& graph, const CompiledPattern& p,
                         }
                         matches.push_back(t);
                       });
-  std::vector<Binding> next;
+  BindingTable next(rows->width());
   next.reserve(matches.size());
   bool extended = false;
   if (threads > 1) {
@@ -552,7 +556,8 @@ Status ExecuteSeedStep(const rdf::Graph& graph, const CompiledPattern& p,
                            static_cast<size_t>(threads) * kMorselsPerThread,
                            kMinMorselRows);
     if (morsels.size() > 1) {
-      std::vector<std::vector<Binding>> parts(morsels.size());
+      std::vector<BindingTable> parts(morsels.size(),
+                                      BindingTable(rows->width()));
       ThreadPool::Shared().ParallelFor(morsels.size(), [&](size_t m) {
         auto [lo, hi] = morsels[m];
         parts[m].reserve(hi - lo);
@@ -564,9 +569,7 @@ Status ExecuteSeedStep(const rdf::Graph& graph, const CompiledPattern& p,
           ExtendRow(p, row, matches[i], &parts[m]);
         }
       });
-      for (std::vector<Binding>& part : parts) {
-        for (Binding& b : part) next.push_back(std::move(b));
-      }
+      Concatenate(parts, &next);
       if (opts.stats != nullptr) opts.stats->morsel_count += morsels.size();
       extended = true;
     }
@@ -606,7 +609,7 @@ struct SieveRun {
 // breaks the sort order — the caller then demotes the step to the adaptive
 // machinery, which is byte-identical. A tripped counted check is reported
 // through *status with the sieve left partial.
-bool BuildSieve(const std::vector<Binding>& rows, int head_slot,
+bool BuildSieve(const BindingTable& rows, int head_slot,
                 const QueryContext* ctx, std::vector<SieveRun>* runs,
                 Status* status) {
   runs->clear();
@@ -639,10 +642,10 @@ bool BuildSieve(const std::vector<Binding>& rows, int head_slot,
 // rows — the replay enumerates exactly the triples (in exactly the order) a
 // per-row NLJ probe of that key would, which is the byte-identity argument.
 Status MergeRuns(const rdf::Graph& graph, const CompiledPattern& p,
-                 rdf::Graph::Perm perm, const std::vector<Binding>& rows,
+                 rdf::Graph::Perm perm, const BindingTable& rows,
                  const std::vector<SieveRun>& runs, size_t run_lo,
                  size_t run_hi, bool sip, const QueryContext* ctx,
-                 std::vector<Binding>* out, size_t* decoded, size_t* seeks,
+                 BindingTable* out, size_t* decoded, size_t* seeks,
                  size_t* advances) {
   rdf::Graph::MergeCursor cur = graph.OpenMergeCursor(
       perm, p.s_var < 0 ? p.s_id : kNoTermId,
@@ -697,7 +700,7 @@ Status MergeRuns(const rdf::Graph& graph, const CompiledPattern& p,
 Status ExecuteMergeStep(const rdf::Graph& graph, const CompiledPattern& p,
                         int source_pattern, const PlannedStep& step,
                         int head_slot, const JoinOptions& opts, int threads,
-                        Tracer* tracer, std::vector<Binding>* rows) {
+                        Tracer* tracer, BindingTable* rows) {
   std::vector<SieveRun> runs;
   Status sieve_status = Status::OK();
   if (!BuildSieve(*rows, head_slot, opts.ctx, &runs, &sieve_status)) {
@@ -714,7 +717,7 @@ Status ExecuteMergeStep(const rdf::Graph& graph, const CompiledPattern& p,
   join_span.Arg("perm", PermName(step.perm));
   join_span.Arg("sieve_keys", static_cast<uint64_t>(runs.size()));
 
-  std::vector<Binding> next;
+  BindingTable next(rows->width());
   size_t decoded = 0, seeks = 0, advances = 0;
   Status merge_status = sieve_status;
   if (merge_status.ok()) {
@@ -725,7 +728,8 @@ Status ExecuteMergeStep(const rdf::Graph& graph, const CompiledPattern& p,
                              static_cast<size_t>(threads) * kMorselsPerThread,
                              kMinMorselRows);
       if (morsels.size() > 1) {
-        std::vector<std::vector<Binding>> parts(morsels.size());
+        std::vector<BindingTable> parts(morsels.size(),
+                                        BindingTable(rows->width()));
         std::vector<size_t> part_decoded(morsels.size(), 0);
         std::vector<size_t> part_seeks(morsels.size(), 0);
         std::vector<size_t> part_advances(morsels.size(), 0);
@@ -744,8 +748,8 @@ Status ExecuteMergeStep(const rdf::Graph& graph, const CompiledPattern& p,
           if (merge_status.ok() && !part_status[m].ok()) {
             merge_status = part_status[m];
           }
-          for (Binding& b : parts[m]) next.push_back(std::move(b));
         }
+        Concatenate(parts, &next);
         if (opts.stats != nullptr) opts.stats->morsel_count += morsels.size();
         merged = true;
       }
@@ -776,6 +780,13 @@ Status ExecuteMergeStep(const rdf::Graph& graph, const CompiledPattern& p,
   return Status::OK();
 }
 
+// Runs the caller's per-step hook (if any) over the rows step `p` produced.
+Status AfterStep(const JoinOptions& opts, const CompiledPattern& p,
+                 BindingTable* rows) {
+  return opts.after_step != nullptr ? (*opts.after_step)(p, rows)
+                                    : Status::OK();
+}
+
 // Planner-v2 pipeline: annotate the execution-ordered patterns, surface the
 // plan shape, run the seed scan in the interesting-order permutation, then
 // each later step as a merge (when qualified and the strategy allows) or
@@ -786,7 +797,7 @@ Status ExecuteBgpV2(const rdf::Graph& graph,
                     const std::vector<CompiledPattern>& patterns,
                     const std::vector<int>& source_index, bool dp_ordered,
                     const JoinOptions& opts, int threads, Tracer* tracer,
-                    std::vector<Binding>* rows) {
+                    BindingTable* rows) {
   BgpPlan plan = AnnotateBgpPlan(graph, patterns);
   plan.used_dp = dp_ordered;
   {
@@ -802,6 +813,7 @@ Status ExecuteBgpV2(const rdf::Graph& graph,
   RDFA_RETURN_NOT_OK(ExecuteSeedStep(graph, patterns[0], source_index[0],
                                      plan.steps[0], opts, threads, tracer,
                                      rows));
+  RDFA_RETURN_NOT_OK(AfterStep(opts, patterns[0], rows));
   if (rows->empty()) return Status::OK();
   // kHash / kNestedLoop demote qualified merge steps to their forced
   // strategy — byte-identical by the order argument in MergeRuns.
@@ -819,6 +831,7 @@ Status ExecuteBgpV2(const rdf::Graph& graph,
                                              source_index[pi], opts, threads,
                                              tracer, rows));
     }
+    RDFA_RETURN_NOT_OK(AfterStep(opts, patterns[pi], rows));
     if (rows->empty()) return Status::OK();
   }
   return Status::OK();
@@ -827,16 +840,14 @@ Status ExecuteBgpV2(const rdf::Graph& graph,
 }  // namespace
 
 Status JoinBgp(const rdf::Graph& graph, std::vector<CompiledPattern> patterns,
-               size_t slot_count, bool reorder, const JoinOptions& opts,
-               std::vector<Binding>* rows) {
+               bool reorder, const JoinOptions& opts, BindingTable* rows) {
   for (const CompiledPattern& p : patterns) {
+    assert(std::max({p.s_var, p.p_var, p.o_var}) <
+           static_cast<int>(rows->width()));
     if (p.impossible) {
-      rows->clear();
+      rows->Clear();
       return Status::OK();
     }
-  }
-  for (Binding& b : *rows) {
-    if (b.size() < slot_count) b.resize(slot_count, kNoTermId);
   }
 
   // Track each pattern's position in the source BGP so the chosen join
@@ -853,7 +864,7 @@ Status JoinBgp(const rdf::Graph& graph, std::vector<CompiledPattern> patterns,
   // kMerge degrades to kAdaptive semantics.
   bool trivial_seed = rows->size() == 1;
   if (trivial_seed) {
-    for (TermId v : rows->front()) {
+    for (TermId v : (*rows)[0]) {
       if (v != kNoTermId) {
         trivial_seed = false;
         break;
@@ -929,7 +940,7 @@ Status JoinBgp(const rdf::Graph& graph, std::vector<CompiledPattern> patterns,
       // Seed "bound" with slots already bound in the incoming rows.
       std::set<int> bound;
       if (!rows->empty()) {
-        const Binding& first = rows->front();
+        const RowView first = (*rows)[0];
         for (size_t i = 0; i < first.size(); ++i) {
           if (first[i] != kNoTermId) bound.insert(static_cast<int>(i));
         }
@@ -962,15 +973,15 @@ Status JoinBgp(const rdf::Graph& graph, std::vector<CompiledPattern> patterns,
     RDFA_RETURN_NOT_OK(ExecuteAdaptiveStep(graph, patterns[pi],
                                            source_index[pi], opts, threads,
                                            tracer, rows));
+    RDFA_RETURN_NOT_OK(AfterStep(opts, patterns[pi], rows));
     if (rows->empty()) return Status::OK();
   }
   return Status::OK();
 }
 
 Status JoinBgp(const rdf::Graph& graph, std::vector<CompiledPattern> patterns,
-               size_t slot_count, bool reorder, std::vector<Binding>* rows) {
-  return JoinBgp(graph, std::move(patterns), slot_count, reorder,
-                 JoinOptions{}, rows);
+               bool reorder, BindingTable* rows) {
+  return JoinBgp(graph, std::move(patterns), reorder, JoinOptions{}, rows);
 }
 
 std::vector<int> PlanBgpOrder(const rdf::Graph& graph,

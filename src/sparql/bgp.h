@@ -1,11 +1,13 @@
 #ifndef RDFA_SPARQL_BGP_H_
 #define RDFA_SPARQL_BGP_H_
 
+#include <functional>
 #include <vector>
 
 #include "common/query_context.h"
 #include "rdf/graph.h"
 #include "sparql/ast.h"
+#include "sparql/binding_table.h"
 #include "sparql/exec_stats.h"
 #include "sparql/expr_eval.h"
 
@@ -63,6 +65,13 @@ enum class JoinStrategy {
   kMerge,
 };
 
+/// Called by JoinBgp after each step with the pattern that step joined and
+/// the rows it produced. It may drop rows, but only with a stable compaction
+/// (BindingTable::Retain): later steps rely on the row order. A non-OK
+/// status stops the join with that status.
+using JoinStepHook =
+    std::function<Status(const CompiledPattern&, BindingTable*)>;
+
 /// Knobs and instrumentation for one JoinBgp call.
 struct JoinOptions {
   /// Thread budget: <=1 runs the serial path. Parallelism is morsel-based —
@@ -109,20 +118,24 @@ struct JoinOptions {
   /// Plan-cache capture: when set, receives the order actually executed
   /// (whether replayed, greedily chosen, or source order).
   std::vector<int>* capture_order = nullptr;
+  /// When set, runs after every executed step: the executor applies the
+  /// FILTERs that step made ready. The join stops at the first step that
+  /// leaves no rows, so later steps and their hooks never run.
+  const JoinStepHook* after_step = nullptr;
 };
 
-/// Extends every binding in `*rows` through all `patterns` by index
+/// Extends every row of `*rows` through all `patterns` by index
 /// nested-loop joins. When `reorder` is set, patterns are greedily ordered
 /// by estimated selectivity given the variables bound so far (the ablation
-/// benchmark toggles this). `rows` bindings are grown to `slot_count`.
-/// Returns non-OK only when `opts.ctx` trips (DeadlineExceeded/Cancelled).
+/// benchmark toggles this). The table must be wide enough for every
+/// pattern variable's slot. Returns non-OK only when `opts.ctx` trips
+/// (DeadlineExceeded/Cancelled) or `opts.after_step` fails.
 Status JoinBgp(const rdf::Graph& graph, std::vector<CompiledPattern> patterns,
-               size_t slot_count, bool reorder, const JoinOptions& opts,
-               std::vector<Binding>* rows);
+               bool reorder, const JoinOptions& opts, BindingTable* rows);
 
 /// Serial convenience overload (threads = 1, no stats, no context).
 Status JoinBgp(const rdf::Graph& graph, std::vector<CompiledPattern> patterns,
-               size_t slot_count, bool reorder, std::vector<Binding>* rows);
+               bool reorder, BindingTable* rows);
 
 /// Plans a trivial-seed BGP's join order without executing anything: the
 /// same order JoinBgp would choose for a top-level run — the DP search when

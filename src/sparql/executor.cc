@@ -2,11 +2,14 @@
 
 #include <algorithm>
 #include <array>
+#include <cassert>
 #include <chrono>
 #include <functional>
 #include <map>
 #include <optional>
 #include <set>
+#include <span>
+#include <unordered_map>
 
 #include "common/metrics.h"
 #include "common/string_util.h"
@@ -112,11 +115,17 @@ std::set<TermId> Reachable(const rdf::Graph& graph, TermId start, TermId p,
 
 }  // namespace
 
-Result<std::vector<Binding>> Executor::EvalPattern(const GraphPattern& pattern,
-                                                   VarTable* vars,
-                                                   std::vector<Binding> seed) {
-  std::vector<Binding> rows = std::move(seed);
-  if (rows.empty()) rows.push_back(Binding());
+BindingTable Executor::SeedFor(const GraphPattern& where) {
+  std::set<std::string> names;
+  CollectPatternVars(where, &names);
+  return BindingTable(names.size());
+}
+
+Result<BindingTable> Executor::EvalPattern(const GraphPattern& pattern,
+                                           VarTable* vars, BindingTable seed) {
+  BindingTable rows = std::move(seed);
+  const size_t width = rows.width();
+  if (rows.empty()) rows.AppendUnbound();
 
   // Filters apply to the whole group (SPARQL semantics): hoist them. A
   // filter may still run early — as soon as every variable it mentions is
@@ -144,26 +153,20 @@ Result<std::vector<Binding>> Executor::EvalPattern(const GraphPattern& pattern,
   }
   std::set<std::string> certainly_bound;
 
-  auto grow_rows = [&]() {
-    for (Binding& b : rows) {
-      if (b.size() < vars->size()) b.resize(vars->size(), kNoTermId);
-    }
-  };
-
   // EXISTS { ... } inside filters joins the probe pattern against the
   // current row. A VarTable copy isolates variables the probe introduces.
-  std::function<bool(const GraphPattern&, const Binding&)> exists_fn =
-      [this, vars](const GraphPattern& probe, const Binding& row) {
+  std::function<bool(const GraphPattern&, RowView)> exists_fn =
+      [this, vars](const GraphPattern& probe, RowView row) {
         VarTable local = *vars;
-        auto res = EvalPattern(probe, &local, {row});
+        auto res = EvalPattern(probe, &local, BindingTable::Of(row));
         return res.ok() && !res.value().empty();
       };
   EvalContext ctx{&graph_->terms(), vars, nullptr, &exists_fn};
 
   // Applies every not-yet-run filter whose variables are all certainly
-  // bound. EXISTS filters always wait for the end (their subpattern scope
-  // may mention anything).
-  auto apply_ready_filters = [&](bool at_end) {
+  // bound to `table`, keeping the survivors in order. EXISTS filters always
+  // wait for the end (their subpattern scope may mention anything).
+  auto apply_ready_filters = [&](BindingTable* table, bool at_end) {
     for (PendingFilter& f : filters) {
       if (f.done) continue;
       if (!at_end) {
@@ -177,23 +180,40 @@ Result<std::vector<Binding>> Executor::EvalPattern(const GraphPattern& pattern,
         }
         if (!ready) continue;
       }
+      const Expr& filter = *f.el->filter;
       const std::optional<NumericComparison> numeric =
-          NumericComparison::Compile(*f.el->filter, *vars);
-      auto keep = [&](const Binding& row) {
+          NumericComparison::Compile(filter, *vars);
+      // A filter over one variable is decided once per distinct TermId.
+      const std::optional<int> memo_slot = SingleVariableSlot(filter, *vars);
+      std::unordered_map<TermId, bool> verdicts;
+      auto eval = [&](RowView row) {
+        auto b = EvalExpr(filter, row, ctx).EffectiveBool();
+        return b.has_value() && *b;
+      };
+      table->Retain([&](RowView row) {
         if (numeric.has_value()) {
           if (auto b = numeric->Test(row, &decode_cache_)) return *b;
         }
-        auto b = EvalExpr(*f.el->filter, row, ctx).EffectiveBool();
-        return b.has_value() && *b;
-      };
-      std::vector<Binding> next;
-      next.reserve(rows.size());
-      for (Binding& row : rows) {
-        if (keep(row)) next.push_back(std::move(row));
-      }
-      rows = std::move(next);
+        if (!memo_slot.has_value()) return eval(row);
+        const TermId id = *memo_slot >= 0 ? row[*memo_slot] : kNoTermId;
+        auto [it, fresh] = verdicts.try_emplace(id, false);
+        if (fresh) it->second = eval(row);
+        return it->second;
+      });
       f.done = true;
     }
+  };
+
+  // Inside a triple run JoinBgp calls back after every step: the step's
+  // variables are then bound in every row, so the filters they complete
+  // run before the next step extends the rows.
+  const JoinStepHook after_step = [&](const CompiledPattern& p,
+                                      BindingTable* table) {
+    for (int slot : {p.s_var, p.p_var, p.o_var}) {
+      if (slot >= 0) certainly_bound.insert(vars->names()[slot]);
+    }
+    apply_ready_filters(table, false);
+    return Status::OK();
   };
 
   size_t i = 0;
@@ -204,16 +224,16 @@ Result<std::vector<Binding>> Executor::EvalPattern(const GraphPattern& pattern,
       case PatternElement::Kind::kTriple: {
         // Gather the contiguous run of triples and join them together.
         std::vector<CompiledPattern> compiled;
+        std::vector<const NodePattern*> run_vars;
         while (i < body.size() &&
                body[i]->kind == PatternElement::Kind::kTriple) {
           const TriplePattern& tp = body[i]->triple;
           for (const NodePattern* n : {&tp.s, &tp.p, &tp.o}) {
-            if (n->is_var) certainly_bound.insert(n->var);
+            if (n->is_var) run_vars.push_back(n);
           }
           compiled.push_back(CompileTriple(tp, vars, *graph_));
           ++i;
         }
-        grow_rows();
         {
           auto start = std::chrono::steady_clock::now();
           JoinOptions jopts;
@@ -224,6 +244,7 @@ Result<std::vector<Binding>> Executor::EvalPattern(const GraphPattern& pattern,
           jopts.calibrated_estimates = calibrated_estimates_;
           jopts.use_dp = use_dp_;
           jopts.sip = sip_;
+          if (push_filters_) jopts.after_step = &after_step;
           // Plan-cache hookup: BGP join runs are numbered in evaluation
           // order (deterministic for a fixed AST + graph), so a replayed
           // query consumes the cached order recorded at the same position.
@@ -237,9 +258,8 @@ Result<std::vector<Binding>> Executor::EvalPattern(const GraphPattern& pattern,
           if (capture_orders_ != nullptr && seq < kMaxCachedBgpOrders) {
             jopts.capture_order = &chosen;
           }
-          Status join_status =
-              JoinBgp(*graph_, std::move(compiled), vars->size(),
-                      reorder_joins_, jopts, &rows);
+          Status join_status = JoinBgp(*graph_, std::move(compiled),
+                                       reorder_joins_, jopts, &rows);
           if (jopts.capture_order != nullptr) {
             if (capture_orders_->size() <= seq) {
               capture_orders_->resize(seq + 1);
@@ -249,73 +269,68 @@ Result<std::vector<Binding>> Executor::EvalPattern(const GraphPattern& pattern,
           stats_.bgp_ms += MsSince(start);
           RDFA_RETURN_NOT_OK(join_status);
         }
-        apply_ready_filters(false);
+        for (const NodePattern* n : run_vars) certainly_bound.insert(n->var);
+        apply_ready_filters(&rows, false);
         continue;
       }
       case PatternElement::Kind::kOptional: {
-        std::vector<Binding> next;
-        for (Binding& row : rows) {
-          RDFA_ASSIGN_OR_RETURN(std::vector<Binding> extended,
-                                EvalPattern(*el.child, vars, {row}));
+        BindingTable next(width);
+        for (size_t r = 0; r < rows.size(); ++r) {
+          RDFA_ASSIGN_OR_RETURN(
+              BindingTable extended,
+              EvalPattern(*el.child, vars, BindingTable::Of(rows[r])));
           if (extended.empty()) {
-            next.push_back(std::move(row));
+            next.Append(rows[r]);
           } else {
-            for (Binding& e : extended) next.push_back(std::move(e));
+            next.Append(extended);
           }
         }
         rows = std::move(next);
-        grow_rows();
         break;
       }
       case PatternElement::Kind::kUnion: {
-        RDFA_ASSIGN_OR_RETURN(std::vector<Binding> lhs,
+        RDFA_ASSIGN_OR_RETURN(BindingTable lhs,
                               EvalPattern(*el.child, vars, rows));
-        RDFA_ASSIGN_OR_RETURN(std::vector<Binding> rhs,
-                              EvalPattern(*el.child2, vars, rows));
+        RDFA_ASSIGN_OR_RETURN(BindingTable rhs,
+                              EvalPattern(*el.child2, vars, std::move(rows)));
         rows = std::move(lhs);
-        for (Binding& b : rhs) rows.push_back(std::move(b));
-        grow_rows();
+        rows.Append(rhs);
         break;
       }
       case PatternElement::Kind::kBind: {
         int slot = vars->IdOf(el.bind_var);
-        grow_rows();
-        for (Binding& row : rows) {
-          Value v = EvalExpr(*el.bind_expr, row, ctx);
+        for (size_t r = 0; r < rows.size(); ++r) {
+          Value v = EvalExpr(*el.bind_expr, rows[r], ctx);
           if (!v.is_unbound()) {
-            row[slot] = graph_->terms().Intern(v.ToTerm());
+            rows[r][slot] = graph_->terms().Intern(v.ToTerm());
           }
         }
         certainly_bound.insert(el.bind_var);
-        apply_ready_filters(false);
+        apply_ready_filters(&rows, false);
         break;
       }
       case PatternElement::Kind::kValues: {
         int slot = vars->IdOf(el.values_var);
-        grow_rows();
         std::vector<TermId> ids;
         ids.reserve(el.values_terms.size());
         for (const Term& t : el.values_terms) {
           ids.push_back(graph_->terms().Intern(t));
         }
-        std::vector<Binding> next;
-        for (const Binding& row : rows) {
+        BindingTable next(width);
+        for (size_t r = 0; r < rows.size(); ++r) {
+          const RowView row = rows[r];
           if (row[slot] != kNoTermId) {
             // Already bound: keep only if listed.
             if (std::find(ids.begin(), ids.end(), row[slot]) != ids.end()) {
-              next.push_back(row);
+              next.Append(row);
             }
             continue;
           }
-          for (TermId id : ids) {
-            Binding extended = row;
-            extended[slot] = id;
-            next.push_back(std::move(extended));
-          }
+          for (TermId id : ids) next.Append(row)[slot] = id;
         }
         rows = std::move(next);
         certainly_bound.insert(el.values_var);
-        apply_ready_filters(false);
+        apply_ready_filters(&rows, false);
         break;
       }
       case PatternElement::Kind::kSubSelect: {
@@ -326,7 +341,6 @@ Result<std::vector<Binding>> Executor::EvalPattern(const GraphPattern& pattern,
         for (const std::string& col : sub.columns()) {
           slots.push_back(vars->IdOf(col));
         }
-        grow_rows();
         // Intern subquery results.
         std::vector<std::vector<TermId>> sub_rows;
         sub_rows.reserve(sub.num_rows());
@@ -341,41 +355,39 @@ Result<std::vector<Binding>> Executor::EvalPattern(const GraphPattern& pattern,
           }
           sub_rows.push_back(std::move(ids));
         }
-        std::vector<Binding> next;
-        for (const Binding& row : rows) {
+        BindingTable next(width);
+        for (size_t r = 0; r < rows.size(); ++r) {
           for (const auto& srow : sub_rows) {
-            Binding extended = row;
-            bool ok = true;
+            std::span<TermId> extended = next.Append(rows[r]);
             for (size_t c = 0; c < slots.size(); ++c) {
               int slot = slots[c];
               if (srow[c] == kNoTermId) continue;
               if (extended[slot] != kNoTermId && extended[slot] != srow[c]) {
-                ok = false;
+                next.PopBack();
                 break;
               }
               extended[slot] = srow[c];
             }
-            if (ok) next.push_back(std::move(extended));
           }
         }
         rows = std::move(next);
         for (const std::string& col : sub.columns()) {
           certainly_bound.insert(col);
         }
-        apply_ready_filters(false);
+        apply_ready_filters(&rows, false);
         break;
       }
       case PatternElement::Kind::kMinus: {
         // Keeps rows with no compatible solution in the child pattern
         // (evaluated seeded with the row, i.e. NOT-EXISTS-style semantics).
-        std::vector<Binding> kept;
-        for (Binding& row : rows) {
-          RDFA_ASSIGN_OR_RETURN(std::vector<Binding> matched,
-                                EvalPattern(*el.child, vars, {row}));
-          if (matched.empty()) kept.push_back(std::move(row));
+        BindingTable kept(width);
+        for (size_t r = 0; r < rows.size(); ++r) {
+          RDFA_ASSIGN_OR_RETURN(
+              BindingTable matched,
+              EvalPattern(*el.child, vars, BindingTable::Of(rows[r])));
+          if (matched.empty()) kept.Append(rows[r]);
         }
         rows = std::move(kept);
-        grow_rows();
         break;
       }
       case PatternElement::Kind::kTransPath: {
@@ -392,9 +404,9 @@ Result<std::vector<Binding>> Executor::EvalPattern(const GraphPattern& pattern,
         TermId o_const = el.triple.o.is_var
                              ? kNoTermId
                              : graph_->terms().Find(el.triple.o.term);
-        grow_rows();
-        std::vector<Binding> next;
-        for (const Binding& row : rows) {
+        BindingTable next(width);
+        for (size_t r = 0; r < rows.size(); ++r) {
+          const RowView row = rows[r];
           // BFS expansions can dwarf everything else on a pathological
           // path query: poll per source row.
           if (ctx_.ShouldStop()) return ctx_.Check("path-expansion");
@@ -403,10 +415,9 @@ Result<std::vector<Binding>> Executor::EvalPattern(const GraphPattern& pattern,
           TermId o = o_var >= 0 && row[o_var] != kNoTermId ? row[o_var]
                                                            : o_const;
           auto emit = [&](TermId sv, TermId ov) {
-            Binding extended = row;
+            std::span<TermId> extended = next.Append(row);
             if (s_var >= 0) extended[s_var] = sv;
             if (o_var >= 0) extended[o_var] = ov;
-            next.push_back(std::move(extended));
           };
           if (pid == kNoTermId) {
             // Property absent: only the reflexive case can match.
@@ -448,26 +459,26 @@ Result<std::vector<Binding>> Executor::EvalPattern(const GraphPattern& pattern,
         rows = std::move(next);
         if (el.triple.s.is_var) certainly_bound.insert(el.triple.s.var);
         if (el.triple.o.is_var) certainly_bound.insert(el.triple.o.var);
-        apply_ready_filters(false);
+        apply_ready_filters(&rows, false);
         break;
       }
       case PatternElement::Kind::kFilter:
         // Already pending; at its source position it may be ready to run.
-        apply_ready_filters(false);
+        apply_ready_filters(&rows, false);
         break;
     }
     ++i;
   }
 
-  grow_rows();
-  apply_ready_filters(/*at_end=*/true);
+  assert(vars->size() <= width);
+  apply_ready_filters(&rows, /*at_end=*/true);
   return rows;
 }
 
 Result<ResultTable> Executor::Select(const SelectQuery& query) {
   VarTable vars;
-  RDFA_ASSIGN_OR_RETURN(std::vector<Binding> rows,
-                        EvalPattern(query.where, &vars, {}));
+  RDFA_ASSIGN_OR_RETURN(BindingTable rows,
+                        EvalPattern(query.where, &vars, SeedFor(query.where)));
 
   EvalContext ctx{&graph_->terms(), &vars, nullptr};
 
@@ -495,7 +506,8 @@ Result<ResultTable> Executor::Select(const SelectQuery& query) {
     return cols;
   }());
 
-  // Rows that survive to ordering: output cells + context for ORDER BY.
+  // Rows that survive to ordering: output cells + context for ORDER BY
+  // (`binding` is kept only when there is an ORDER BY).
   struct OutRow {
     std::vector<Term> cells;
     Binding binding;
@@ -593,7 +605,7 @@ Result<ResultTable> Executor::Select(const SelectQuery& query) {
       if (go.keep) out_rows.push_back(std::move(go.row));
     }
   } else {
-    auto project_row = [&](Binding& row, OutRow* orow) {
+    auto project_row = [&](RowView row, OutRow* orow) {
       for (const Projection& p : projections) {
         if (p.expr == nullptr) {
           int slot = vars.Find(p.var);
@@ -606,7 +618,7 @@ Result<ResultTable> Executor::Select(const SelectQuery& query) {
           orow->cells.push_back(ValueToCell(EvalExpr(*p.expr, row, ctx)));
         }
       }
-      orow->binding = std::move(row);
+      if (!query.order_by.empty()) orow->binding.assign(row.begin(), row.end());
     };
     if (threads_ > 1 && rows.size() >= kParallelRowThreshold) {
       out_rows.resize(rows.size());
@@ -621,13 +633,12 @@ Result<ResultTable> Executor::Select(const SelectQuery& query) {
       RDFA_RETURN_NOT_OK(ctx_.Check("projection"));
       stats_.morsel_count += morsels.size();
     } else {
-      size_t r = 0;
-      for (Binding& row : rows) {
-        if (++r % kParallelRowThreshold == 0 && ctx_.ShouldStop()) {
+      for (size_t r = 0; r < rows.size(); ++r) {
+        if ((r + 1) % kParallelRowThreshold == 0 && ctx_.ShouldStop()) {
           return ctx_.Check("projection");
         }
         OutRow orow;
-        project_row(row, &orow);
+        project_row(rows[r], &orow);
         out_rows.push_back(std::move(orow));
       }
     }
@@ -697,18 +708,19 @@ Result<ResultTable> Executor::Select(const SelectQuery& query) {
 
 Result<bool> Executor::Ask(const AskQuery& query) {
   VarTable vars;
-  RDFA_ASSIGN_OR_RETURN(std::vector<Binding> rows,
-                        EvalPattern(query.where, &vars, {}));
+  RDFA_ASSIGN_OR_RETURN(BindingTable rows,
+                        EvalPattern(query.where, &vars, SeedFor(query.where)));
   return !rows.empty();
 }
 
 Result<size_t> Executor::Construct(const ConstructQuery& query,
                                    rdf::Graph* out) {
   VarTable vars;
-  RDFA_ASSIGN_OR_RETURN(std::vector<Binding> rows,
-                        EvalPattern(query.where, &vars, {}));
+  RDFA_ASSIGN_OR_RETURN(BindingTable rows,
+                        EvalPattern(query.where, &vars, SeedFor(query.where)));
   size_t added = 0;
-  for (const Binding& row : rows) {
+  for (size_t r = 0; r < rows.size(); ++r) {
+    const RowView row = rows[r];
     for (const TriplePattern& tp : query.construct_template) {
       auto instantiate = [&](const NodePattern& n, Term* t) {
         if (!n.is_var) {
@@ -744,16 +756,14 @@ Result<size_t> Executor::Describe(const DescribeQuery& query,
   }
   if (!query.vars.empty()) {
     VarTable vars;
-    RDFA_ASSIGN_OR_RETURN(std::vector<Binding> rows,
-                          EvalPattern(query.where, &vars, {}));
+    RDFA_ASSIGN_OR_RETURN(BindingTable rows,
+                          EvalPattern(query.where, &vars,
+                                      SeedFor(query.where)));
     for (const std::string& name : query.vars) {
       int slot = vars.Find(name);
       if (slot < 0) continue;
-      for (const Binding& row : rows) {
-        if (static_cast<size_t>(slot) < row.size() &&
-            row[slot] != kNoTermId) {
-          subjects.insert(row[slot]);
-        }
+      for (size_t r = 0; r < rows.size(); ++r) {
+        if (rows[r][slot] != kNoTermId) subjects.insert(rows[r][slot]);
       }
     }
   }
@@ -1003,9 +1013,10 @@ Result<Executor::UpdateStats> Executor::Update(const UpdateRequest& request) {
 
   // Pattern-driven forms: evaluate WHERE first, then instantiate.
   VarTable vars;
-  RDFA_ASSIGN_OR_RETURN(std::vector<Binding> rows,
-                        EvalPattern(request.where, &vars, {}));
-  auto instantiate = [&](const TriplePattern& tp, const Binding& row,
+  RDFA_ASSIGN_OR_RETURN(
+      BindingTable rows,
+      EvalPattern(request.where, &vars, SeedFor(request.where)));
+  auto instantiate = [&](const TriplePattern& tp, RowView row,
                          rdf::TripleId* out) {
     auto resolve = [&](const NodePattern& n, TermId* id) {
       if (!n.is_var) {
@@ -1028,7 +1039,8 @@ Result<Executor::UpdateStats> Executor::Update(const UpdateRequest& request) {
   // binding set (the WHERE ran against the pre-update graph).
   std::vector<rdf::TripleId> to_delete;
   std::vector<std::array<Term, 3>> to_insert;
-  for (const Binding& row : rows) {
+  for (size_t r = 0; r < rows.size(); ++r) {
+    const RowView row = rows[r];
     for (const TriplePattern& tp : request.delete_template) {
       rdf::TripleId t;
       if (instantiate(tp, row, &t)) to_delete.push_back(t);

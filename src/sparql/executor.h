@@ -26,7 +26,9 @@ class Executor {
  public:
   /// `reorder_joins` toggles the greedy selectivity-based BGP reordering;
   /// `push_filters` toggles early filter application once a filter's
-  /// variables are certainly bound. Both are ablation knobs (defaults on).
+  /// variables are certainly bound — inside a triple run, right after the
+  /// join step that binds the last of them. Both are ablation knobs
+  /// (defaults on).
   /// `threads` is the morsel-parallelism budget (<=1 = serial; parallel
   /// results are byte-identical to serial, see DESIGN.md threading model).
   explicit Executor(rdf::Graph* graph, bool reorder_joins = true,
@@ -136,9 +138,14 @@ class Executor {
   Result<UpdateStats> Update(const UpdateRequest& request);
 
  private:
-  Result<std::vector<Binding>> EvalPattern(const GraphPattern& pattern,
-                                           VarTable* vars,
-                                           std::vector<Binding> seed);
+  /// Evaluates `pattern` over the rows of `seed` (an empty seed stands
+  /// for one all-unbound row), allocating slots in `*vars`.
+  Result<BindingTable> EvalPattern(const GraphPattern& pattern,
+                                   VarTable* vars, BindingTable seed);
+
+  /// An empty seed as wide as any evaluation of `where` can need: one slot
+  /// per variable name it mentions (CollectPatternVars).
+  static BindingTable SeedFor(const GraphPattern& where);
 
   /// Upper bound on BGP join runs captured per query: keeps plan entries
   /// for EXISTS-heavy queries (one run per probed row) from ballooning.

@@ -26,7 +26,7 @@ int VarTable::Find(const std::string& name) const {
 
 namespace {
 
-Value EvalVar(const Expr& e, const Binding& binding, const EvalContext& ctx) {
+Value EvalVar(const Expr& e, RowView binding, const EvalContext& ctx) {
   int slot = ctx.vars->Find(e.var);
   if (slot < 0 || static_cast<size_t>(slot) >= binding.size() ||
       binding[slot] == rdf::kNoTermId) {
@@ -35,8 +35,7 @@ Value EvalVar(const Expr& e, const Binding& binding, const EvalContext& ctx) {
   return Value::FromTerm(ctx.terms->Get(binding[slot]));
 }
 
-Value EvalUnary(const Expr& e, const Binding& binding,
-                const EvalContext& ctx) {
+Value EvalUnary(const Expr& e, RowView binding, const EvalContext& ctx) {
   Value a = EvalExpr(*e.args[0], binding, ctx);
   if (e.op == "!") {
     auto b = a.EffectiveBool();
@@ -75,8 +74,7 @@ Value NumericBinary(const std::string& op, const Value& a, const Value& b) {
   return Value::Unbound();
 }
 
-Value EvalBinary(const Expr& e, const Binding& binding,
-                 const EvalContext& ctx) {
+Value EvalBinary(const Expr& e, RowView binding, const EvalContext& ctx) {
   const std::string& op = e.op;
   if (op == "||" || op == "&&") {
     auto a = EvalExpr(*e.args[0], binding, ctx).EffectiveBool();
@@ -205,7 +203,7 @@ Value EvalDateComponent(const Value& v, int component) {
   return Value::Int(*c);
 }
 
-Value EvalCall(const Expr& e, const Binding& binding, const EvalContext& ctx) {
+Value EvalCall(const Expr& e, RowView binding, const EvalContext& ctx) {
   const std::string& name = e.call_name;
 
   if (name == "BOUND") {
@@ -417,8 +415,7 @@ Value EvalCall(const Expr& e, const Binding& binding, const EvalContext& ctx) {
 
 }  // namespace
 
-Value EvalExpr(const Expr& expr, const Binding& binding,
-               const EvalContext& ctx) {
+Value EvalExpr(const Expr& expr, RowView binding, const EvalContext& ctx) {
   switch (expr.kind) {
     case Expr::Kind::kVar:
       return EvalVar(expr, binding, ctx);

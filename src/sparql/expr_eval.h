@@ -9,6 +9,7 @@
 
 #include "rdf/term_table.h"
 #include "sparql/ast.h"
+#include "sparql/binding_table.h"
 #include "sparql/value.h"
 
 namespace rdfa::sparql {
@@ -28,7 +29,8 @@ class VarTable {
   std::vector<std::string> names_;
 };
 
-/// One solution row: slot -> TermId; kNoTermId means unbound.
+/// One solution row held on its own (a group's representative, an output
+/// row kept for ORDER BY); rows being joined live in a BindingTable.
 using Binding = std::vector<rdf::TermId>;
 
 /// Everything an expression needs at evaluation time. `terms` is mutable
@@ -41,15 +43,14 @@ struct EvalContext {
   rdf::TermTable* terms = nullptr;
   const VarTable* vars = nullptr;
   const std::map<const Expr*, Value>* agg_values = nullptr;
-  const std::function<bool(const GraphPattern&, const Binding&)>* exists_eval =
+  const std::function<bool(const GraphPattern&, RowView)>* exists_eval =
       nullptr;
 };
 
-/// Evaluates `expr` over `binding`. Evaluation errors and unbound variables
-/// both yield Value::Unbound() (SPARQL type errors collapse to
+/// Evaluates `expr` over the row `binding`. Evaluation errors and unbound
+/// variables both yield Value::Unbound() (SPARQL type errors collapse to
 /// false-in-filters, which is how the callers consume them).
-Value EvalExpr(const Expr& expr, const Binding& binding,
-               const EvalContext& ctx);
+Value EvalExpr(const Expr& expr, RowView binding, const EvalContext& ctx);
 
 }  // namespace rdfa::sparql
 

@@ -22,14 +22,14 @@ constexpr uint32_t kNoRow = UINT32_MAX;
 // so it sorts before every bound key.
 const char kUnboundKey[] = "\x01unbound";
 
-TermId TermAt(const Binding& row, int slot) {
+TermId TermAt(RowView row, int slot) {
   return slot >= 0 && static_cast<size_t>(slot) < row.size() ? row[slot]
                                                              : kNoTermId;
 }
 
 /// Computes one aggregate over the rows `members` of `rows`, in order —
 /// the generic path, for what the streaming accumulators do not cover.
-Value ComputeAggregate(const Expr& agg, const std::vector<Binding>& rows,
+Value ComputeAggregate(const Expr& agg, const BindingTable& rows,
                        std::span<const uint32_t> members,
                        const EvalContext& ctx) {
   if (agg.agg_star) {
@@ -119,6 +119,14 @@ const TermDecodeCache::Numeric& TermDecodeCache::Get(TermId id) {
   return it->second;
 }
 
+std::optional<int> SingleVariableSlot(const Expr& expr, const VarTable& vars) {
+  if (expr.ContainsAggregate() || expr.ContainsExists()) return std::nullopt;
+  std::set<std::string> names;
+  expr.CollectVars(&names);
+  if (names.size() != 1) return std::nullopt;
+  return vars.Find(*names.begin());
+}
+
 std::optional<NumericComparison> NumericComparison::Compile(
     const Expr& filter, const VarTable& vars) {
   if (filter.kind != Expr::Kind::kBinary || filter.args.size() != 2 ||
@@ -146,7 +154,7 @@ std::optional<NumericComparison> NumericComparison::Compile(
   return out;
 }
 
-std::optional<bool> NumericComparison::Test(const Binding& row,
+std::optional<bool> NumericComparison::Test(RowView row,
                                             TermDecodeCache* cache) const {
   if (slot_ >= row.size() || row[slot_] == kNoTermId) return std::nullopt;
   const std::optional<double>& value = cache->Get(row[slot_]).value;
@@ -202,8 +210,7 @@ GroupAggregator::GroupAggregator(const std::vector<ExprPtr>& group_by,
     : agg_nodes_(std::move(agg_nodes)), ctx_(ctx), cache_(cache) {
   for (const ExprPtr& g : group_by) {
     group_by_.push_back(g.get());
-    key_slots_.push_back(g->kind == Expr::Kind::kVar ? ctx_.vars->Find(g->var)
-                                                     : -1);
+    key_slots_.push_back(SingleVariableSlot(*g, *ctx_.vars));
   }
   for (const Expr* node : agg_nodes_) {
     int slot = -1;
@@ -222,36 +229,28 @@ GroupAggregator::GroupAggregator(const std::vector<ExprPtr>& group_by,
 
 void GroupAggregator::GroupRows(size_t lo, size_t hi, const QueryContext& qctx,
                                 Groups* out) const {
-  const std::vector<Binding>& rows = *rows_;
-  // Canonical key id per distinct TermId of a plain-variable key.
-  std::unordered_map<TermId, uint32_t> term_keys;
+  const BindingTable& rows = *rows_;
   std::optional<uint32_t> unbound;
-  auto unbound_key = [&] {
+  auto key_of = [&](size_t k, RowView row) {
+    const Value v = EvalExpr(*group_by_[k], row, ctx_);
+    if (!v.is_unbound()) return out->InternKey(v.ToTerm().ToNTriples());
     if (!unbound.has_value()) unbound = out->InternKey(kUnboundKey);
     return *unbound;
   };
+  // Key id per distinct TermId, for each key that reads one variable.
+  std::vector<std::unordered_map<TermId, uint32_t>> memo(group_by_.size());
   std::vector<uint32_t> key(group_by_.size());
   out->row_group.reserve(hi - lo);
   for (size_t r = lo; r < hi; ++r) {
     if ((r - lo + 1) % kPollRows == 0 && qctx.ShouldStop()) return;
-    const Binding& row = rows[r];
+    const RowView row = rows[r];
     for (size_t k = 0; k < key.size(); ++k) {
-      if (key_slots_[k] < 0) {
-        const Value v = EvalExpr(*group_by_[k], row, ctx_);
-        key[k] = v.is_unbound() ? unbound_key()
-                                : out->InternKey(v.ToTerm().ToNTriples());
+      if (!key_slots_[k].has_value()) {
+        key[k] = key_of(k, row);
         continue;
       }
-      const TermId id = TermAt(row, key_slots_[k]);
-      if (id == kNoTermId) {
-        key[k] = unbound_key();
-        continue;
-      }
-      auto [it, fresh] = term_keys.try_emplace(id, 0);
-      if (fresh) {
-        it->second = out->InternKey(
-            Value::FromTerm(ctx_.terms->Get(id)).ToTerm().ToNTriples());
-      }
+      auto [it, fresh] = memo[k].try_emplace(TermAt(row, *key_slots_[k]), 0);
+      if (fresh) it->second = key_of(k, row);
       key[k] = it->second;
     }
     out->row_group.push_back(out->GroupOf(key, static_cast<uint32_t>(r)));
@@ -276,7 +275,7 @@ void GroupAggregator::Merge(const Groups& part) {
 }
 
 Status GroupAggregator::Run(
-    const std::vector<Binding>& rows,
+    const BindingTable& rows,
     const std::vector<std::pair<size_t, size_t>>& morsels,
     const QueryContext& qctx) {
   rows_ = &rows;
@@ -349,12 +348,12 @@ Status GroupAggregator::Accumulate(const QueryContext& qctx) {
     if (streams_[j]) streaming.push_back(j);
   }
   if (streaming.empty()) return Status::OK();
-  const std::vector<Binding>& rows = *rows_;
+  const BindingTable& rows = *rows_;
   for (size_t r = 0; r < rows.size(); ++r) {
     if ((r + 1) % kPollRows == 0 && qctx.ShouldStop()) {
       return qctx.Check("group-aggregate");
     }
-    const Binding& row = rows[r];
+    const RowView row = rows[r];
     const uint32_t g = groups_.row_group[r];
     for (size_t j : streaming) {
       Accumulator& a = accs_[j * num_groups + g];
@@ -416,8 +415,9 @@ Value GroupAggregator::Finish(size_t node, const Accumulator& acc) const {
 
 Binding GroupAggregator::Representative(size_t i) const {
   const uint32_t row = groups_.first_row[order_[i]];
-  return row == kNoRow ? Binding(ctx_.vars->size(), kNoTermId)
-                       : (*rows_)[row];
+  if (row == kNoRow) return Binding(rows_->width(), kNoTermId);
+  const RowView view = (*rows_)[row];
+  return Binding(view.begin(), view.end());
 }
 
 std::map<const Expr*, Value> GroupAggregator::Aggregates(size_t i) const {

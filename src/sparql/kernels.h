@@ -43,6 +43,13 @@ class TermDecodeCache {
   std::unordered_map<rdf::TermId, Numeric> entries_;
 };
 
+/// The slot of the one variable `expr` reads (-1 when that variable has no
+/// slot, i.e. is never bound), if `expr` reads exactly one variable and
+/// holds no aggregate and no EXISTS; nullopt otherwise. Such an expression
+/// is a function of that variable's TermId (kNoTermId included), so its
+/// value can be computed once per distinct TermId and reused.
+std::optional<int> SingleVariableSlot(const Expr& expr, const VarTable& vars);
+
 /// A FILTER of the form `?v op c` (op one of < <= > >= = !=, c a numeric
 /// constant), compiled once: the slot is resolved and the constant decoded
 /// up front, and each row compares doubles exactly as Value::Compare /
@@ -55,7 +62,7 @@ class NumericComparison {
 
   /// The filter's verdict for `row`, or nullopt when the row's term is
   /// unbound or not numeric — the caller then evaluates the expression.
-  std::optional<bool> Test(const Binding& row, TermDecodeCache* cache) const;
+  std::optional<bool> Test(RowView row, TermDecodeCache* cache) const;
 
  private:
   enum class Op { kLt, kLe, kGt, kGe, kEq, kNe };
@@ -66,11 +73,13 @@ class NumericComparison {
 
 /// The one GROUP BY + aggregate implementation of the executor.
 ///
-/// Rows are assigned to groups on dense canonical key ids: a plain variable
-/// keys on the N-Triples of Value::FromTerm(term).ToTerm(), computed once
-/// per distinct TermId (so "01"^^xsd:integer and "1"^^xsd:integer share a
-/// group); computed keys (YEAR(?d)) go through EvalExpr and are interned
-/// into the same id space. Only the final groups are sorted, by their
+/// Rows are assigned to groups on dense canonical key ids: a key's id is
+/// the interned N-Triples of its value's canonical term, so a plain
+/// variable keys on Value::FromTerm(term).ToTerm() ("01"^^xsd:integer and
+/// "1"^^xsd:integer share a group). A key that reads one variable (a plain
+/// variable, YEAR(?d)) is evaluated once per distinct TermId of that
+/// variable; other computed keys go through EvalExpr on every row. Only
+/// the final groups are sorted, by their
 /// N-Triples key tuple, which is the order a std::map over key strings
 /// would give. COUNT, SUM, AVG, MIN and MAX over a plain variable without
 /// DISTINCT accumulate in row order while streaming; every other aggregate,
@@ -89,7 +98,7 @@ class GroupAggregator {
   /// parallel and merges their groups in morsel order; accumulation always
   /// walks the rows in order, so floating-point sums round exactly as in a
   /// serial run. Returns a non-OK status when `qctx` trips.
-  Status Run(const std::vector<Binding>& rows,
+  Status Run(const BindingTable& rows,
              const std::vector<std::pair<size_t, size_t>>& morsels,
              const QueryContext& qctx);
 
@@ -137,13 +146,14 @@ class GroupAggregator {
   Value Finish(size_t node, const Accumulator& acc) const;
 
   std::vector<const Expr*> group_by_;
-  std::vector<int> key_slots_;  ///< plain-variable key slot, -1 otherwise
+  /// SingleVariableSlot of each key: its value is memoized per TermId.
+  std::vector<std::optional<int>> key_slots_;
   std::vector<const Expr*> agg_nodes_;
   std::vector<int> agg_slots_;  ///< argument slot of a streaming node
   std::vector<bool> streams_;   ///< node accumulates while streaming
   EvalContext ctx_;
   TermDecodeCache* cache_;
-  const std::vector<Binding>* rows_ = nullptr;
+  const BindingTable* rows_ = nullptr;
 
   Groups groups_;
   std::vector<uint32_t> order_;    ///< output position -> group

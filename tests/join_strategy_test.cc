@@ -4,6 +4,7 @@
 // settings and forced strategies), a deterministic deadline trip inside the
 // hash-build loop, and the versioned binary snapshot stats block.
 
+#include <algorithm>
 #include <cstring>
 #include <string>
 #include <vector>
@@ -292,31 +293,32 @@ TEST_F(JoinStrategyTest, HeterogeneousRowsFallBackPerRowByteIdentically) {
       sparql::CompileTriple(tp, &vars, g)};
   ASSERT_FALSE(patterns[0].impossible);
 
-  std::vector<sparql::Binding> seed_rows;
+  sparql::BindingTable seed_rows(vars.size());
   int next = 0;
   g.ForEachMatch(kNoTermId, g.terms().Find(Term::Iri(kEx + "manufacturer")),
                  kNoTermId, [&](const rdf::TripleId& t) {
-                   sparql::Binding b(vars.size(), kNoTermId);
+                   seed_rows.AppendUnbound();
                    // Every third row arrives with ?m unbound.
-                   if (++next % 3 != 0) b[0] = t.o;
-                   seed_rows.push_back(std::move(b));
+                   if (++next % 3 != 0) {
+                     seed_rows[seed_rows.size() - 1][0] = t.o;
+                   }
                  });
   ASSERT_GE(seed_rows.size(), 100u);
 
   auto run = [&](sparql::JoinStrategy strategy) {
-    std::vector<sparql::Binding> rows = seed_rows;
+    sparql::BindingTable rows = seed_rows;
     sparql::JoinOptions jopts;
     jopts.strategy = strategy;
-    Status st = sparql::JoinBgp(g, patterns, vars.size(), /*reorder=*/false,
+    Status st = sparql::JoinBgp(g, patterns, /*reorder=*/false,
                                 jopts, &rows);
     EXPECT_TRUE(st.ok()) << st.ToString();
     return rows;
   };
-  std::vector<sparql::Binding> nlj = run(sparql::JoinStrategy::kNestedLoop);
-  std::vector<sparql::Binding> hash = run(sparql::JoinStrategy::kHash);
+  sparql::BindingTable nlj = run(sparql::JoinStrategy::kNestedLoop);
+  sparql::BindingTable hash = run(sparql::JoinStrategy::kHash);
   ASSERT_EQ(nlj.size(), hash.size());
   for (size_t i = 0; i < nlj.size(); ++i) {
-    EXPECT_EQ(nlj[i], hash[i]) << "row " << i;
+    EXPECT_TRUE(std::ranges::equal(nlj[i], hash[i])) << "row " << i;
   }
 }
 
@@ -350,10 +352,10 @@ TEST_F(JoinStrategyTest, DeadlineTripsInsideHashBuildDeterministically) {
   jopts.stats = &stats;
   jopts.ctx = &ctx;
   jopts.strategy = sparql::JoinStrategy::kHash;
-  std::vector<sparql::Binding> rows = {
-      sparql::Binding(vars.size(), kNoTermId)};
+  sparql::BindingTable rows(vars.size());
+  rows.AppendUnbound();
   Status st =
-      sparql::JoinBgp(g, patterns, vars.size(), /*reorder=*/false, jopts,
+      sparql::JoinBgp(g, patterns, /*reorder=*/false, jopts,
                       &rows);
   ASSERT_FALSE(st.ok());
   EXPECT_EQ(st.code(), StatusCode::kCancelled);

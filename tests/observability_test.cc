@@ -366,9 +366,9 @@ TEST(AbortTraceTest, MidJoinCancellationClosesTheAbortedSpan) {
   jopts.stats = &stats;
   jopts.ctx = &ctx;
   jopts.strategy = sparql::JoinStrategy::kHash;
-  std::vector<sparql::Binding> rows = {
-      sparql::Binding(vars.size(), rdf::kNoTermId)};
-  Status st = sparql::JoinBgp(g, patterns, vars.size(), /*reorder=*/false,
+  sparql::BindingTable rows(vars.size());
+  rows.AppendUnbound();
+  Status st = sparql::JoinBgp(g, patterns, /*reorder=*/false,
                               jopts, &rows);
   ASSERT_FALSE(st.ok());
   EXPECT_EQ(st.code(), StatusCode::kCancelled);

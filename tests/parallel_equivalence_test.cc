@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -108,6 +109,174 @@ TEST_F(SparqlParallelEquivalenceTest, StatsReportParallelExecution) {
   EXPECT_GT(last_stats_.morsel_count, 0u);
   EXPECT_EQ(last_stats_.join_order.size(), 2u);
   EXPECT_GE(last_stats_.total_ms, 0.0);
+}
+
+// FILTERs run inside the join, right after the step that binds their last
+// variable, must not change a single byte. Each query runs with
+// push_filters on and off at 1 and 4 threads, under two join legs: NLJ in
+// source order (so "first", "middle" and "last" below are the execution
+// order) and DP+merge. Within a leg every run must equal the leg's serial
+// run without pushed filters byte for byte (row order included); the two
+// legs join in different orders, so across legs the sorted rows match.
+class FilterInJoinEquivalenceTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    workload::ProductKgOptions opt;
+    opt.laptops = 600;
+    opt.missing_price_rate = 0.2;  // OPTIONAL { ?l ex:price ?p } may miss
+    workload::GenerateProductKg(&g_, opt);
+  }
+
+  std::string Run(const std::string& q, bool dp_merge, bool push_filters,
+                  int threads) {
+    auto parsed = sparql::ParseQuery(std::string(kPfx) + q);
+    EXPECT_TRUE(parsed.ok()) << parsed.status().ToString() << "\n" << q;
+    if (!parsed.ok()) return "";
+    sparql::Executor exec(&g_, /*reorder_joins=*/dp_merge, push_filters,
+                          threads);
+    if (dp_merge) {
+      exec.set_use_dp(true);
+      exec.set_join_strategy(sparql::JoinStrategy::kMerge);
+    } else {
+      exec.set_join_strategy(sparql::JoinStrategy::kNestedLoop);
+    }
+    auto res = exec.Execute(parsed.value());
+    EXPECT_TRUE(res.ok()) << res.status().ToString() << "\nquery: " << q;
+    return res.ok() ? res.value().ToTsv() : std::string();
+  }
+
+  static std::vector<std::string> SortedLines(const std::string& tsv) {
+    std::vector<std::string> lines;
+    size_t start = 0;
+    for (size_t nl = tsv.find('\n'); nl != std::string::npos;
+         nl = tsv.find('\n', start)) {
+      lines.push_back(tsv.substr(start, nl - start));
+      start = nl + 1;
+    }
+    lines.push_back(tsv.substr(start));
+    std::sort(lines.begin(), lines.end());
+    return lines;
+  }
+
+  // Returns the reference result so callers can assert on its size.
+  // `order_free` is false for a query whose answer depends on row order
+  // (SAMPLE), which the two legs' join orders may legitimately differ on.
+  std::string ExpectIdentical(const std::string& q, bool order_free = true) {
+    std::string legs[2];
+    for (bool dp_merge : {false, true}) {
+      const std::string ref = Run(q, dp_merge, /*push_filters=*/false, 1);
+      for (bool push : {false, true}) {
+        for (int threads : {1, 4}) {
+          EXPECT_EQ(ref, Run(q, dp_merge, push, threads))
+              << (dp_merge ? "dp+merge" : "nlj") << " push=" << push
+              << " threads=" << threads << "\nquery: " << q;
+        }
+      }
+      legs[dp_merge] = ref;
+    }
+    if (order_free) {
+      EXPECT_EQ(SortedLines(legs[0]), SortedLines(legs[1])) << q;
+    }
+    return legs[0];
+  }
+
+  static size_t Rows(const std::string& tsv) {
+    return static_cast<size_t>(std::count(tsv.begin(), tsv.end(), '\n'));
+  }
+
+  rdf::Graph g_;
+};
+
+TEST_F(FilterInJoinEquivalenceTest, FilterAfterFirstMiddleAndLastPattern) {
+  const std::string join =
+      "?l ex:price ?p . ?l ex:manufacturer ?m . ?m ex:origin ?c . "
+      "?c ex:locatedAt ?k . ?l ex:releaseDate ?d . ";
+  // ?p: first pattern; ?c: middle; ?d: last.
+  for (const char* filter :
+       {"FILTER(?p >= 1500)", "FILTER(?c != ex:country1)",
+        "FILTER(YEAR(?d) >= 2021)",
+        "FILTER(?p >= 1500) FILTER(?c != ex:country1) "
+        "FILTER(YEAR(?d) >= 2021)",
+        "FILTER(?p + YEAR(?d) > 3800)"}) {
+    const std::string tsv = ExpectIdentical(
+        "SELECT ?l ?m ?c ?d WHERE { " + join + filter + " }");
+    EXPECT_GT(Rows(tsv), 50u) << filter;
+  }
+  ExpectIdentical("SELECT ?m (AVG(?p) AS ?a) (COUNT(*) AS ?n) WHERE { " +
+                  join + "FILTER(YEAR(?d) >= 2020) FILTER(?p <= 2500) } "
+                  "GROUP BY ?m");
+  // Fan-out after the filtered step (one company, many laptops): rows
+  // dropped early and rows dropped at the end leave the survivors in the
+  // same order only if the drop keeps the order.
+  const std::string fan_out =
+      "?c ex:locatedAt ?k . ?m ex:origin ?c . "
+      "?l ex:manufacturer ?m . ?l ex:price ?p . ";
+  for (const char* filter :
+       {"FILTER(?c != ex:country1)", "FILTER(?m != ex:company2)",
+        "FILTER(?c != ex:country1 && ?p > 700)"}) {
+    const std::string tsv = ExpectIdentical(
+        "SELECT ?l ?m ?c ?p WHERE { " + fan_out + filter + " }");
+    EXPECT_GT(Rows(tsv), 128u) << filter;
+  }
+  // SAMPLE and the group representative are each group's first row.
+  ExpectIdentical("SELECT ?c (SAMPLE(?l) AS ?first) (COUNT(*) AS ?n) "
+                  "WHERE { " + fan_out + "FILTER(?m != ex:company2) } "
+                  "GROUP BY ?c",
+                  /*order_free=*/false);
+}
+
+TEST_F(FilterInJoinEquivalenceTest, TwoFiltersReadyAtTheSameStep) {
+  const std::string tsv = ExpectIdentical(
+      "SELECT ?l ?p ?u WHERE { ?l ex:price ?p . ?l ex:USBPorts ?u . "
+      "?l ex:manufacturer ?m . FILTER(?p < 2500) "
+      "FILTER(CONTAINS(STR(?l), \"1\")) FILTER(?u >= 2) }");
+  EXPECT_GT(Rows(tsv), 50u);
+}
+
+TEST_F(FilterInJoinEquivalenceTest, FilterOverOptionalVariableWaitsForEnd) {
+  // The outer filter reads ?p, which the OPTIONAL may leave unbound: it
+  // must run after the OPTIONAL, not inside the OPTIONAL's own join (there
+  // it would turn dropped rows into rows with ?p unbound).
+  const std::string tsv = ExpectIdentical(
+      "SELECT ?l ?m ?p WHERE { ?l ex:manufacturer ?m . ?m ex:origin ?c . "
+      "OPTIONAL { ?l ex:price ?p . ?l ex:USBPorts ?u . FILTER(?u > 2) } "
+      "FILTER(!BOUND(?p) || ?p < 2000) }");
+  EXPECT_GT(Rows(tsv), 128u);
+  ExpectIdentical(
+      "SELECT ?l ?p WHERE { ?l ex:manufacturer ?m . "
+      "OPTIONAL { ?l ex:price ?p } FILTER(?p > 1000) }");
+}
+
+TEST_F(FilterInJoinEquivalenceTest, ExistsFiltersWaitForEnd) {
+  ExpectIdentical(
+      "SELECT ?l ?p WHERE { ?l ex:manufacturer ?m . ?l ex:price ?p . "
+      "FILTER EXISTS { ?m ex:origin ex:country1 } FILTER(?p > 500) }");
+  ExpectIdentical(
+      "SELECT ?l ?m WHERE { ?l ex:manufacturer ?m . ?l ex:price ?p . "
+      "FILTER NOT EXISTS { ?l ex:USBPorts ?u . FILTER(?u > 3) } }");
+}
+
+TEST_F(FilterInJoinEquivalenceTest, TypeErrorsDropRows) {
+  // ?l is an IRI: `?l > 3` is a type error, so false, on every row.
+  EXPECT_EQ(Rows(ExpectIdentical(
+                "SELECT ?l WHERE { ?l ex:manufacturer ?m . ?l ex:price ?p . "
+                "FILTER(?l > 3) }")),
+            1u);  // the header only
+  // error || true keeps the row; error || false drops it.
+  EXPECT_GT(Rows(ExpectIdentical(
+                "SELECT ?l ?p WHERE { ?l ex:manufacturer ?m . ?l ex:price ?p "
+                ". FILTER(?m > 3 || ?p > 1500) }")),
+            128u);
+}
+
+TEST_F(FilterInJoinEquivalenceTest, StepWhoseFilterDropsEveryRow) {
+  EXPECT_EQ(Rows(ExpectIdentical(
+                "SELECT ?l ?c WHERE { ?l ex:price ?p . ?l ex:manufacturer ?m "
+                ". ?m ex:origin ?c . FILTER(?p < 0) }")),
+            1u);
+  ExpectIdentical(
+      "SELECT (COUNT(*) AS ?n) (SUM(?p) AS ?s) WHERE { ?l ex:price ?p . "
+      "?l ex:manufacturer ?m . ?m ex:origin ?c . FILTER(?c = ex:nowhere) }");
 }
 
 TEST_F(SparqlParallelEquivalenceTest, HifunEvaluatorMatchesSerial) {

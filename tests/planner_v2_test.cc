@@ -394,24 +394,24 @@ TEST(PlannerV2Test, SipAblationKeepsBytesButDecodesMoreRows) {
                                sparql::NodePattern::Var("v")},
                               &vars, g),
     };
-    std::vector<sparql::Binding> rows = {
-        sparql::Binding(vars.size(), kNoTermId)};
+    sparql::BindingTable rows(vars.size());
+    rows.AppendUnbound();
     sparql::JoinOptions jopts;
     jopts.strategy = sparql::JoinStrategy::kMerge;
     jopts.sip = sip;
     jopts.stats = stats;
-    Status st = sparql::JoinBgp(g, patterns, vars.size(), /*reorder=*/false,
+    Status st = sparql::JoinBgp(g, patterns, /*reorder=*/false,
                                 jopts, &rows);
     EXPECT_TRUE(st.ok()) << st.ToString();
     return rows;
   };
   sparql::ExecStats with_sip, without_sip;
-  const std::vector<sparql::Binding> a = run(true, &with_sip);
-  const std::vector<sparql::Binding> b = run(false, &without_sip);
+  const sparql::BindingTable a = run(true, &with_sip);
+  const sparql::BindingTable b = run(false, &without_sip);
   ASSERT_EQ(a.size(), b.size());
   ASSERT_GT(a.size(), 0u);
   for (size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(a[i], b[i]) << "row " << i;
+    EXPECT_TRUE(std::ranges::equal(a[i], b[i])) << "row " << i;
   }
   // The whole point of the sieve: strictly fewer index entries decoded.
   EXPECT_LT(with_sip.merge_rows_decoded, without_sip.merge_rows_decoded);
@@ -437,9 +437,9 @@ TEST(PlannerV2Test, CancelTripsInsideSieveBuildDeterministically) {
   sparql::JoinOptions jopts;
   jopts.strategy = sparql::JoinStrategy::kMerge;
   jopts.ctx = &ctx;
-  std::vector<sparql::Binding> rows = {
-      sparql::Binding(vars.size(), kNoTermId)};
-  Status st = sparql::JoinBgp(*g, patterns, vars.size(), /*reorder=*/false,
+  sparql::BindingTable rows(vars.size());
+  rows.AppendUnbound();
+  Status st = sparql::JoinBgp(*g, patterns, /*reorder=*/false,
                               jopts, &rows);
   ASSERT_FALSE(st.ok());
   EXPECT_EQ(st.code(), StatusCode::kCancelled);
@@ -471,9 +471,9 @@ TEST(PlannerV2Test, CancelTripsInsideMergeAdvanceDeterministically) {
   jopts.sip = false;
   jopts.ctx = &ctx;
   jopts.stats = &stats;
-  std::vector<sparql::Binding> rows = {
-      sparql::Binding(vars.size(), kNoTermId)};
-  Status st = sparql::JoinBgp(*g, patterns, vars.size(), /*reorder=*/false,
+  sparql::BindingTable rows(vars.size());
+  rows.AppendUnbound();
+  Status st = sparql::JoinBgp(*g, patterns, /*reorder=*/false,
                               jopts, &rows);
   ASSERT_FALSE(st.ok());
   EXPECT_EQ(st.code(), StatusCode::kCancelled);
@@ -497,32 +497,32 @@ TEST(PlannerV2Test, CapturedOrderReplayReproducesPlanBitForBit) {
         Pat(*g, &vars, "?m", "origin", "?c"),
         Pat(*g, &vars, "?c", "GDPPerCapita", "?gdp"),
     };
-    std::vector<sparql::Binding> rows = {
-        sparql::Binding(vars.size(), kNoTermId)};
+    sparql::BindingTable rows(vars.size());
+    rows.AppendUnbound();
     sparql::JoinOptions jopts;
     jopts.use_dp = true;
     jopts.stats = stats;
     jopts.replay_order = replay;
     jopts.capture_order = capture;
-    Status st = sparql::JoinBgp(*g, patterns, vars.size(), /*reorder=*/true,
+    Status st = sparql::JoinBgp(*g, patterns, /*reorder=*/true,
                                 jopts, &rows);
     EXPECT_TRUE(st.ok()) << st.ToString();
     return rows;
   };
   std::vector<int> captured;
   sparql::ExecStats first_stats;
-  const std::vector<sparql::Binding> first =
+  const sparql::BindingTable first =
       run(nullptr, &captured, &first_stats);
   ASSERT_EQ(captured.size(), 3u);
   EXPECT_EQ(first_stats.dp_plans, 1u);
   ASSERT_EQ(first_stats.plan_shapes.size(), 1u);
 
   sparql::ExecStats replayed_stats;
-  const std::vector<sparql::Binding> replayed =
+  const sparql::BindingTable replayed =
       run(&captured, nullptr, &replayed_stats);
   ASSERT_EQ(replayed.size(), first.size());
   for (size_t i = 0; i < first.size(); ++i) {
-    EXPECT_EQ(first[i], replayed[i]) << "row " << i;
+    EXPECT_TRUE(std::ranges::equal(first[i], replayed[i])) << "row " << i;
   }
   // Annotation is a pure function of the order: the replayed run rebuilds
   // the identical explainable plan, strategies and permutations included.

@@ -64,9 +64,9 @@ TEST_P(RandomBgpTest, IndexJoinMatchesNaiveJoin) {
     for (const auto& tp : patterns) {
       compiled.push_back(sparql::CompileTriple(tp, &vars, g));
     }
-    std::vector<sparql::Binding> rows = {sparql::Binding(vars.size(),
-                                                         rdf::kNoTermId)};
-    sparql::JoinBgp(g, compiled, vars.size(), /*reorder=*/true, &rows);
+    sparql::BindingTable rows(vars.size());
+    rows.AppendUnbound();
+    sparql::JoinBgp(g, compiled, /*reorder=*/true, &rows);
 
     // Naive reference: nested loops over all triples.
     std::multiset<std::string> expected;
@@ -108,7 +108,8 @@ TEST_P(RandomBgpTest, IndexJoinMatchesNaiveJoin) {
     recurse(0, {});
 
     std::multiset<std::string> got;
-    for (const sparql::Binding& row : rows) {
+    for (size_t r = 0; r < rows.size(); ++r) {
+      const sparql::RowView row = rows[r];
       std::string key;
       for (const char* v : {"a", "b", "c"}) {
         int slot = vars.Find(v);

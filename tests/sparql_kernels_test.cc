@@ -1,11 +1,14 @@
 // Differential suite for the executor's ID-native kernels: numeric FILTER
 // comparisons, the GroupAggregator's canonical keys and its streaming
-// COUNT/SUM/AVG/MIN/MAX. Each kernel-eligible query is compared with a
-// same-meaning rewrite the kernels do not recognise, which therefore runs
-// the generic expression evaluator: `FILTER(c)` vs `FILTER((c) && true)`,
-// `AGG(?v)` vs `AGG(COALESCE(?v))`, `GROUP BY ?g` vs
-// `GROUP BY (COALESCE(?g))`. Every case runs at 1 and 4 threads; the data
-// has enough rows for the morsel-parallel paths to trigger.
+// COUNT/SUM/AVG/MIN/MAX, and the per-TermId memo of FILTERs and GROUP BY
+// keys that read one variable. Each kernel-eligible query is compared with
+// a same-meaning rewrite the kernels do not recognise, which therefore runs
+// the generic expression evaluator on every row: `FILTER(c)` vs
+// `FILTER((c) && !BOUND(?never_bound))`, `AGG(?v)` vs `AGG(COALESCE(?v))`,
+// `GROUP BY ?g` vs `GROUP BY (COALESCE(?g, ?never_bound))`. The rewrites
+// read a second, never-bound variable so the one-variable memo skips them.
+// Every case runs at 1 and 4 threads; the data has enough rows for the
+// morsel-parallel paths to trigger.
 
 #include <gtest/gtest.h>
 
@@ -26,6 +29,9 @@ using rdf::Term;
 
 constexpr char kNs[] = "http://example.org/k#";
 constexpr char kPfx[] = "PREFIX ex: <http://example.org/k#>\n";
+// Conjoined to a filter or coalesced into a key, it keeps the meaning and
+// adds a second variable, which sends the expression down the per-row path.
+constexpr char kNeverBound[] = "!BOUND(?never_bound)";
 
 Term Ex(const std::string& local) { return Term::Iri(kNs + local); }
 Term Typed(const std::string& lexical, const char* datatype) {
@@ -152,8 +158,8 @@ TEST_F(SparqlKernelsTest, NumericFilterComparisonsMatchGenericEvaluation) {
         const std::string where =
             std::string("?s ex:") + col + " ?v . FILTER(";
         ExpectSame("SELECT ?s ?v WHERE { " + where + cmp + ") }",
-                   "SELECT ?s ?v WHERE { " + where + "(" + cmp +
-                       ") && true) }");
+                   "SELECT ?s ?v WHERE { " + where + "(" + cmp + ") && " +
+                       kNeverBound + ") }");
       }
     }
   }
@@ -167,7 +173,7 @@ TEST_F(SparqlKernelsTest, NumericFilterOverUnboundValuesMatchesGeneric) {
         "SELECT ?s ?v WHERE { ?s ex:type ex:Item . OPTIONAL { ?s ex:p ?v } "
         "FILTER(";
     ExpectSame(head + cmp + ") }",
-               head + "(" + cmp + ") && true) }");
+               head + "(" + cmp + ") && " + kNeverBound + ") }");
   }
 }
 
@@ -206,13 +212,52 @@ TEST_F(SparqlKernelsTest, CanonicalGroupKeysMatchComputedKeys) {
                     "WHERE { ?s ex:type ex:Item . OPTIONAL { ?s ex:") +
         col + " ?v } OPTIONAL { ?s ex:g ?g } OPTIONAL { ?s ex:h ?h } } ";
     ExpectSame("SELECT ?g " + tail + "GROUP BY ?g",
-               "SELECT ?g " + tail + "GROUP BY (COALESCE(?g))");
+               "SELECT ?g " + tail + "GROUP BY (COALESCE(?g, ?never_bound))");
     ExpectSame("SELECT ?g ?h " + tail + "GROUP BY ?g ?h",
-               "SELECT ?g ?h " + tail + "GROUP BY (COALESCE(?g)) ?h");
+               "SELECT ?g ?h " + tail +
+                   "GROUP BY (COALESCE(?g, ?never_bound)) ?h");
     // A mixed literal column as the key: "3" and "03", "2.5" and "2.50",
     // "5.0"^^decimal and "5e0"^^double fold by canonical value.
     ExpectSame("SELECT ?v " + tail + "GROUP BY ?v",
-               "SELECT ?v " + tail + "GROUP BY (COALESCE(?v))");
+               "SELECT ?v " + tail + "GROUP BY (COALESCE(?v, ?never_bound))");
+  }
+}
+
+TEST_F(SparqlKernelsTest, OneVariableFiltersMatchPerRowEvaluation) {
+  // Filters over one variable that are not `?v op c`: decided once per
+  // distinct TermId (unbound included) instead of once per row.
+  for (const char* cond :
+       {"STRLEN(STR(?v)) > 1", "!BOUND(?v)", "ISNUMERIC(?v)",
+        "?v > 2 && ?v < 6", "?v IN (3, \"abc\", ex:iri-value)",
+        "DATATYPE(?v) = <http://www.w3.org/2001/XMLSchema#integer>",
+        "COALESCE(?v * 2, 0) > 5", "REGEX(STR(?v), \"^[0-9]\")"}) {
+    for (const char* col : {"p", "t"}) {
+      const std::string head =
+          std::string("SELECT ?s ?v WHERE { ?s ex:type ex:Item . "
+                      "OPTIONAL { ?s ex:") +
+          col + " ?v } FILTER(";
+      ExpectSame(head + cond + ") }",
+                 head + "(" + cond + ") && " + kNeverBound + ") }");
+    }
+  }
+}
+
+TEST_F(SparqlKernelsTest, OneVariableComputedKeysMatchPerRowEvaluation) {
+  // Computed keys over one variable are evaluated once per distinct
+  // TermId; keys that fold distinct terms together (STR of "1" and "01")
+  // and keys that are unbound for some terms (?v * 2 over a plain literal)
+  // must group exactly as the per-row evaluation does.
+  for (const char* key : {"STR(?g)", "?g * 2", "DATATYPE(?g)", "BOUND(?g)"}) {
+    const std::string head = std::string("SELECT (") + key +
+                             " AS ?k) (SUM(?v) AS ?sum) (COUNT(*) AS ?n) ";
+    const std::string body =
+        "WHERE { ?s ex:type ex:Item . OPTIONAL { ?s ex:q ?v } "
+        "OPTIONAL { ?s ex:g ?g } OPTIONAL { ?s ex:h ?h } } GROUP BY ";
+    const std::string memo = std::string("(") + key + ")";
+    const std::string generic =
+        std::string("(COALESCE(") + key + ", ?never_bound))";
+    ExpectSame(head + body + memo, head + body + generic);
+    ExpectSame(head + body + memo + " ?h", head + body + generic + " ?h");
   }
 }
 
