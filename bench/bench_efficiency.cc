@@ -17,7 +17,7 @@
 //   --scale: laptop count of the product KG (default: both 2k and 20k)
 //   --iters: how many times to run the query suite per profile (default 1;
 //            more iterations sharpen the p50/p99 figures)
-//   --cache-mb: answer/plan cache budget in MB (0 = off, the default).
+//   --cache-mb: answer cache budget in MB (0 = off, the default).
 //            With the cache on, iterations past the first hit the cache and
 //            every cached answer is byte-compared against the uncached
 //            first-iteration answer (any difference is a bench failure);
@@ -84,7 +84,6 @@ rdfa::bench::TraceSink g_trace;
 std::string g_query_log_path;
 size_t g_cache_mb = 0;
 rdfa::CacheStats g_answer_stats;
-rdfa::CacheStats g_plan_stats;
 uint64_t g_cache_mismatches = 0;
 
 void Accumulate(const rdfa::CacheStats& from, rdfa::CacheStats* into) {
@@ -96,7 +95,7 @@ void Accumulate(const rdfa::CacheStats& from, rdfa::CacheStats* into) {
   into->bytes += from.bytes;
 }
 
-/// Renders one cache layer's counters as a JSON object for the --json
+/// Renders the answer cache's counters as a JSON object for the --json
 /// output (consumed by the CI cache-ablation validator).
 std::string CacheJson(const rdfa::CacheStats& s) {
   JsonObject obj;
@@ -158,6 +157,9 @@ int RunProfile(rdfa::rdf::Graph* graph, const LatencyProfile& profile,
   rdfa::rdf::PrefixMap prefixes;
   // First-iteration (uncached) answers, for the cache byte-identity check.
   std::vector<std::string> reference_tsv(std::size(kSuite));
+  // Total and queue-wait times of every answered response (timeouts too).
+  std::vector<double> totals;
+  std::vector<double> queued;
   for (int iter = 0; iter < iters; ++iter) {
     double total = 0;
     for (const QuerySpec& spec : kSuite) {
@@ -192,6 +194,10 @@ int RunProfile(rdfa::rdf::Graph* graph, const LatencyProfile& profile,
                      resp.status().ToString().c_str());
         ++failures;
         continue;
+      }
+      if (resp.value().status.code() != rdfa::StatusCode::kResourceExhausted) {
+        totals.push_back(resp.value().total_ms);
+        queued.push_back(resp.value().queued_ms);
       }
       if (!resp.value().status.ok()) {
         std::printf("%-4s %-45s %30s\n", spec.id, spec.description,
@@ -238,20 +244,16 @@ int RunProfile(rdfa::rdf::Graph* graph, const LatencyProfile& profile,
   std::printf("latency over %zu served: p50 %.2f ms, p99 %.2f ms, "
               "queued p50 %.2f ms / p99 %.2f ms "
               "(shed %zu, timed out %zu, cancelled %zu)\n",
-              stats.count, stats.p50_total_ms, stats.p99_total_ms,
-              stats.p50_queued_ms, stats.p99_queued_ms,
-              stats.shed, stats.timed_out, stats.cancelled);
+              totals.size(), Percentile(totals, 0.50),
+              Percentile(totals, 0.99), Percentile(queued, 0.50),
+              Percentile(queued, 0.99), stats.shed, stats.timed_out,
+              stats.cancelled);
   if (g_cache_mb > 0) {
     rdfa::CacheStats a = endpoint.answer_cache_stats();
-    rdfa::CacheStats p = endpoint.plan_cache_stats();
-    std::printf("cache: answer %llu hits / %llu misses (%.0f%%), "
-                "plan %llu hits / %llu misses (%.0f%%)\n",
+    std::printf("cache: answer %llu hits / %llu misses (%.0f%%)\n",
                 static_cast<unsigned long long>(a.hits),
-                static_cast<unsigned long long>(a.misses), 100 * a.HitRate(),
-                static_cast<unsigned long long>(p.hits),
-                static_cast<unsigned long long>(p.misses), 100 * p.HitRate());
+                static_cast<unsigned long long>(a.misses), 100 * a.HitRate());
     Accumulate(a, &g_answer_stats);
-    Accumulate(p, &g_plan_stats);
   }
   return failures;
 }
@@ -340,7 +342,6 @@ int RunMixedReadWrite(size_t laptops, int rounds, bool predicate_inval,
     obj.AddInt("rounds", static_cast<uint64_t>(rounds));
     obj.AddString("invalidation", predicate_inval ? "predicate" : "global");
     obj.AddRaw("answer_cache", CacheJson(a));
-    obj.AddRaw("plan_cache", CacheJson(endpoint.plan_cache_stats()));
     obj.AddNumber("p50_ms", Percentile(latencies, 0.50));
     obj.AddNumber("p99_ms", Percentile(latencies, 0.99));
     obj.AddInt("mismatches", mismatches);
@@ -396,9 +397,9 @@ int RunAdmissionDemo(rdfa::rdf::Graph* graph) {
     }
     rdfa::endpoint::EndpointStats stats = endpoint.Stats();
     std::printf("endpoint counters: shed %zu, timed out %zu, cancelled %zu, "
-                "queued p50 %.2f ms / p99 %.2f ms\n",
+                "queued %.2f ms\n",
                 stats.shed, stats.timed_out, stats.cancelled,
-                stats.p50_queued_ms, stats.p99_queued_ms);
+                resp.ok() ? resp.value().queued_ms : 0.0);
   }
   return failures;
 }
@@ -775,7 +776,6 @@ int main(int argc, char** argv) {
     top.AddInt("failures", static_cast<uint64_t>(failures));
     top.AddInt("cache_mb", g_cache_mb);
     top.AddRaw("answer_cache", CacheJson(g_answer_stats));
-    top.AddRaw("plan_cache", CacheJson(g_plan_stats));
     top.AddInt("cache_mismatches", g_cache_mismatches);
     if (!mixed_json.empty()) top.AddRaw("mixed_rw", mixed_json);
     if (!storage_json.empty()) top.AddRaw("storage", storage_json);

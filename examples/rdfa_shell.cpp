@@ -264,7 +264,7 @@ void PrintHelp() {
                                 Cancelled — the cooperative-abort path)
   trace on|off                  per-exec span tracing; with --trace-out=<dir>
                                 each exec writes Chrome trace JSON (Perfetto)
-  cache on|off|stats            generation-checked answer + plan cache for
+  cache on|off|stats            generation-checked answer cache for
                                 exec (re-running an unchanged query is a hit;
                                 any mutation invalidates); --cache-mb=<n>
                                 sets the byte budget and turns it on
@@ -556,7 +556,7 @@ bool HandleLine(Shell& shell, const std::string& line) {
     }
   } else if (cmd == "exec" && shell.cache_on) {
     // Cached execution: route the synthesized SPARQL through a local
-    // endpoint whose generation-checked answer/plan caches make repeated
+    // endpoint whose generation-checked answer cache makes repeated
     // queries (unchanged graph) instant — and the result is installed back
     // into the session so chart/json/csv/explore keep working.
     auto sparql = shell.session().BuildSparql();
@@ -570,8 +570,6 @@ bool HandleLine(Shell& shell, const std::string& line) {
       std::printf("%s", rdfa::viz::RenderTable(resp.value().table).c_str());
       if (resp.value().cache_hit) {
         std::printf("(answer cache hit, %.3f ms)\n", resp.value().total_ms);
-      } else if (resp.value().plan_cache_hit) {
-        std::printf("(plan cache hit, exec %.3f ms)\n", resp.value().exec_ms);
       }
     } else {
       report(outcome);
@@ -623,8 +621,7 @@ bool HandleLine(Shell& shell, const std::string& line) {
       // Rebuild so the budget takes effect even after `cache off`.
       shell.endpoint.reset();
       shell.endpoint_graph = nullptr;
-      std::printf("cache on (%zu MB answer budget + plan cache)\n",
-                  shell.cache_mb);
+      std::printf("cache on (%zu MB answer budget)\n", shell.cache_mb);
     } else if (mode == "off") {
       shell.cache_on = false;
       std::printf("cache off\n");
@@ -633,7 +630,6 @@ bool HandleLine(Shell& shell, const std::string& line) {
         std::printf("cache has served nothing yet\n");
       } else {
         auto a = shell.endpoint->answer_cache_stats();
-        auto p = shell.endpoint->plan_cache_stats();
         std::printf(
             "answer cache: %llu hits / %llu misses (%.0f%% hit rate), "
             "%zu entries, %zu bytes, %llu evictions, %llu invalidations\n",
@@ -641,12 +637,6 @@ bool HandleLine(Shell& shell, const std::string& line) {
             static_cast<unsigned long long>(a.misses), 100 * a.HitRate(),
             a.entries, a.bytes, static_cast<unsigned long long>(a.evictions),
             static_cast<unsigned long long>(a.invalidations));
-        std::printf(
-            "plan cache:   %llu hits / %llu misses (%.0f%% hit rate), "
-            "%zu entries, %llu invalidations\n",
-            static_cast<unsigned long long>(p.hits),
-            static_cast<unsigned long long>(p.misses), 100 * p.HitRate(),
-            p.entries, static_cast<unsigned long long>(p.invalidations));
       }
     } else {
       std::printf("cache is %s (try cache on|off|stats)\n",

@@ -19,7 +19,7 @@
 namespace rdfa {
 
 /// Capacity and enablement knobs shared by every cache in the engine (the
-/// endpoint answer cache, the plan cache, the analytics roll-up cache).
+/// endpoint answer cache, the analytics roll-up cache).
 /// Either capacity at 0 — or `enabled` false — turns the cache into a
 /// store-nothing pass-through: every Get is a miss, every Put a no-op.
 struct CacheOptions {

@@ -73,13 +73,6 @@ std::string FormatQueryLogLine(const QueryLogRecord& rec) {
   if (!rec.trace_file.empty()) {
     out += ",\"trace_file\":\"" + JsonEscape(rec.trace_file) + "\"";
   }
-  if (!rec.join_strategies.empty()) {
-    out += ",\"join_strategies\":\"" + JsonEscape(rec.join_strategies) + "\"";
-  }
-  out += ",\"dp_used\":";
-  out += rec.dp_used ? "true" : "false";
-  out += ",\"sieve_builds\":" + std::to_string(rec.sieve_builds);
-  out += ",\"merge_joins\":" + std::to_string(rec.merge_joins);
   if (!rec.storage_backend.empty()) {
     out += ",\"storage_backend\":\"" + JsonEscape(rec.storage_backend) + "\"";
   }

@@ -14,7 +14,7 @@ namespace rdfa {
 /// One sampled in-flight query, as returned by QueryRegistry::Snapshot().
 struct InflightQuery {
   int64_t id = 0;               ///< registry-assigned, monotonically rising
-  uint64_t query_hash = 0;      ///< FNV-1a of the query text (plan-cache key)
+  uint64_t query_hash = 0;      ///< FNV-1a of the query text
   std::string head;             ///< first bytes of the query text
   const char* stage = nullptr;  ///< most recent Check() stage (may be null)
   uint64_t rows = 0;            ///< rows produced so far

@@ -57,10 +57,6 @@ void SimulatedEndpoint::set_cache_options(CacheOptions opts) {
   cache_opts_ = opts;
   answer_cache_ = std::make_unique<LruCache<sparql::ResultTable>>(
       opts, "rdfa_endpoint_cache");
-  CacheOptions plan_opts = sparql::PlanCache::DefaultOptions();
-  plan_opts.enabled =
-      opts.enabled && opts.max_bytes > 0 && opts.max_entries > 0;
-  plan_cache_ = std::make_unique<sparql::PlanCache>(plan_opts);
 }
 
 double SimulatedEndpoint::SimulatedNetworkMs(const std::string& sparql) {
@@ -79,19 +75,6 @@ double SimulatedEndpoint::SimulatedNetworkMs(const std::string& sparql) {
 }
 
 namespace {
-QueryLogEntry MakeLogEntry(const std::string& sparql,
-                           const QueryResponse& resp) {
-  QueryLogEntry entry;
-  size_t newline = sparql.find('\n');
-  entry.query_head = sparql.substr(0, newline);
-  entry.exec_ms = resp.exec_ms;
-  entry.total_ms = resp.total_ms;
-  entry.queued_ms = resp.queued_ms;
-  entry.rows = resp.table.num_rows();
-  entry.cache_hit = resp.cache_hit;
-  return entry;
-}
-
 const char* OutcomeName(const Status& status) {
   switch (status.code()) {
     case StatusCode::kOk: return "ok";
@@ -242,10 +225,9 @@ size_t SimulatedEndpoint::cache_hits() const {
 }
 
 void SimulatedEndpoint::ClearCache() {
-  // Both cache layers drop their entries and local stats; the endpoint's
-  // own hit counter resets too, so hit-rate math after a clear is sound.
+  // The cache drops its entries and local stats; the endpoint's own hit
+  // counter resets too, so hit-rate math after a clear is sound.
   answer_cache_->Clear();
-  plan_cache_->Clear();
   std::lock_guard<std::mutex> lock(mu_);
   cache_hits_ = 0;
 }
@@ -311,19 +293,6 @@ Result<QueryResponse> SimulatedEndpoint::Query(const std::string& sparql,
       rec.cache_hit = resp.cache_hit;
       if (!resp.cache_hit && status.code() != StatusCode::kResourceExhausted) {
         rec.exec_stats_json = resp.exec_stats.ToJson();
-        for (char c : resp.exec_stats.join_strategy) {
-          if (!rec.join_strategies.empty()) rec.join_strategies += ",";
-          switch (c) {
-            case 'S': rec.join_strategies += "seed"; break;
-            case 'M': rec.join_strategies += "merge"; break;
-            case 'H': rec.join_strategies += "hash"; break;
-            case 'N': rec.join_strategies += "nested-loop"; break;
-            default: rec.join_strategies += c; break;
-          }
-        }
-        rec.dp_used = resp.exec_stats.dp_plans > 0;
-        rec.sieve_builds = static_cast<int64_t>(resp.exec_stats.sieve_keys);
-        rec.merge_joins = static_cast<int64_t>(resp.exec_stats.merge_joins);
       }
       rec.storage_backend = storage_backend;
       rec.trace_file = trace_path;
@@ -389,25 +358,21 @@ Result<QueryResponse> SimulatedEndpoint::Query(const std::string& sparql,
   // a commit that touched one of the entry's predicates invalidates it.
   const bool cache_on = answer_cache_->enabled();
   std::string fingerprint;
-  uint64_t query_hash = 0;
   uint64_t generation = 0;
   const auto stamp_fn = [g](const CacheFootprint& fp) {
     return g->FootprintStamp(fp);
   };
   if (cache_on) {
     fingerprint = NormalizeQueryText(sparql);
-    // Planner configuration shapes both the cached plan's join orders and
-    // (via row order) the answer bytes; non-default configurations get
-    // their own cache slots. The default config keeps the legacy
-    // fingerprint so mixed-mode deployments still share those entries.
+    // Planner configuration shapes (via row order) the answer bytes, so
+    // non-default configurations get their own cache slots. The default
+    // config keeps the legacy fingerprint so mixed-mode deployments still
+    // share those entries.
     if (join_strategy_ != sparql::JoinStrategy::kAdaptive || use_dp_) {
       fingerprint += "\n#planner-cfg:" +
                      std::to_string(static_cast<int>(join_strategy_)) +
                      (use_dp_ ? ":dp" : "");
     }
-    query_hash = sparql::PlanCache::ConfigKey(HashQueryText(fingerprint),
-                                              join_strategy_, use_dp_,
-                                              /*calibrated=*/true);
     generation = g->Generation();
     TraceSpan cache_span(tracer.get(), "cache-lookup");
     cache_span.Arg("generation", generation);
@@ -424,7 +389,7 @@ Result<QueryResponse> SimulatedEndpoint::Query(const std::string& sparql,
         resp.cache_hit = true;
         resp.exec_ms = 0;
         resp.total_ms = resp.network_ms + resp.queued_ms;
-        log_.push_back(MakeLogEntry(sparql, resp));
+        ++answered_count_;
       }
     }
     if (resp.cache_hit) {
@@ -437,42 +402,22 @@ Result<QueryResponse> SimulatedEndpoint::Query(const std::string& sparql,
   }
 
   auto start = std::chrono::steady_clock::now();
-  // Plan-cache lookup (same generation stamp: the cached BGP orders came
-  // from that generation's statistics). A hit skips the parse and replays
-  // the recorded join orders; a miss parses and captures them for reuse.
-  std::shared_ptr<const sparql::PlanEntry> plan;
-  if (cache_on) {
-    plan = mvcc_ != nullptr ? plan_cache_->Get(query_hash, stamp_fn)
-                            : plan_cache_->Get(query_hash, generation);
+  std::optional<TraceSpan> parse_span;
+  parse_span.emplace(tracer.get(), "parse");
+  Result<sparql::ParsedQuery> parsed = sparql::ParseQuery(sparql);
+  parse_span.reset();
+  if (!parsed.ok()) {
+    finish(parsed.status());
+    return parsed.status();
   }
-  sparql::ParsedQuery parsed_local;
-  sparql::PlanEntry fresh_plan;
-  const sparql::ParsedQuery* query = nullptr;
-  if (plan != nullptr) {
-    resp.plan_cache_hit = true;
-    query = &plan->ast;
-  } else {
-    std::optional<TraceSpan> parse_span;
-    parse_span.emplace(tracer.get(), "parse");
-    Result<sparql::ParsedQuery> parsed = sparql::ParseQuery(sparql);
-    parse_span.reset();
-    if (!parsed.ok()) {
-      finish(parsed.status());
-      return parsed.status();
-    }
-    parsed_local = std::move(parsed).value();
-    query = &parsed_local;
-  }
+  const sparql::ParsedQuery& query = parsed.value();
   // The fill stamp. MVCC mode stamps with the footprint's per-predicate
   // epoch sum on the pinned snapshot (wildcard when the ablation knob is
   // off); legacy mode keeps the pre-execution global generation.
   CacheFootprint footprint = CacheFootprint::Wildcard();
   uint64_t fill_stamp = generation;
   if (cache_on && mvcc_ != nullptr) {
-    if (predicate_invalidation_) {
-      footprint =
-          plan != nullptr ? plan->footprint : sparql::FootprintOf(*query);
-    }
+    if (predicate_invalidation_) footprint = sparql::FootprintOf(query);
     fill_stamp = g->FootprintStamp(footprint);
   }
   sparql::Executor exec(g);
@@ -480,12 +425,7 @@ Result<QueryResponse> SimulatedEndpoint::Query(const std::string& sparql,
   exec.set_join_strategy(join_strategy_);
   exec.set_use_dp(use_dp_);
   exec.set_query_context(ctx);
-  if (plan != nullptr) {
-    exec.ReplayJoinOrders(&plan->bgp_orders);
-  } else if (cache_on) {
-    exec.CaptureJoinOrders(&fresh_plan.bgp_orders);
-  }
-  Result<sparql::ResultTable> table = exec.Execute(*query);
+  Result<sparql::ResultTable> table = exec.Execute(query);
   resp.exec_stats = exec.stats();
   auto end = std::chrono::steady_clock::now();
   resp.exec_ms =
@@ -504,7 +444,7 @@ Result<QueryResponse> SimulatedEndpoint::Query(const std::string& sparql,
     RecordOutcome(resp.status);
     {
       std::lock_guard<std::mutex> lock(mu_);
-      log_.push_back(MakeLogEntry(sparql, resp));
+      ++answered_count_;
     }
     finish(resp.status);
     return resp;
@@ -521,60 +461,22 @@ Result<QueryResponse> SimulatedEndpoint::Query(const std::string& sparql,
   if (cache_on && g->Generation() == generation) {
     answer_cache_->Put(fingerprint, fill_stamp, resp.table,
                        resp.table.ApproxBytes(), footprint);
-    if (plan == nullptr) {
-      fresh_plan.ast = *query;
-      fresh_plan.footprint = footprint;
-      plan_cache_->Put(query_hash, fill_stamp, std::move(fresh_plan));
-    }
   }
   {
     std::lock_guard<std::mutex> lock(mu_);
-    log_.push_back(MakeLogEntry(sparql, resp));
+    ++answered_count_;
   }
   finish(Status::OK());
   return resp;
 }
 
-namespace {
-double Percentile(const std::vector<double>& sorted, double q) {
-  size_t idx =
-      static_cast<size_t>(static_cast<double>(sorted.size() - 1) * q);
-  return sorted[idx];
-}
-}  // namespace
-
 EndpointStats SimulatedEndpoint::Stats() const {
   std::lock_guard<std::mutex> lock(mu_);
   EndpointStats stats;
-  stats.count = log_.size();
+  stats.count = answered_count_;
   stats.shed = shed_count_;
   stats.timed_out = timeout_count_;
   stats.cancelled = cancelled_count_;
-  if (log_.empty()) return stats;
-  std::vector<double> execs;
-  std::vector<double> totals;
-  std::vector<double> queued;
-  execs.reserve(log_.size());
-  totals.reserve(log_.size());
-  queued.reserve(log_.size());
-  for (const QueryLogEntry& e : log_) {
-    stats.mean_exec_ms += e.exec_ms;
-    stats.mean_total_ms += e.total_ms;
-    stats.max_exec_ms = std::max(stats.max_exec_ms, e.exec_ms);
-    execs.push_back(e.exec_ms);
-    totals.push_back(e.total_ms);
-    queued.push_back(e.queued_ms);
-  }
-  stats.mean_exec_ms /= static_cast<double>(log_.size());
-  stats.mean_total_ms /= static_cast<double>(log_.size());
-  std::sort(execs.begin(), execs.end());
-  std::sort(totals.begin(), totals.end());
-  std::sort(queued.begin(), queued.end());
-  stats.p95_exec_ms = Percentile(execs, 0.95);
-  stats.p50_total_ms = Percentile(totals, 0.50);
-  stats.p99_total_ms = Percentile(totals, 0.99);
-  stats.p50_queued_ms = Percentile(queued, 0.50);
-  stats.p99_queued_ms = Percentile(queued, 0.99);
   return stats;
 }
 

@@ -7,7 +7,6 @@
 #include <memory>
 #include <mutex>
 #include <string>
-#include <vector>
 
 #include "common/lru_cache.h"
 #include "common/query_context.h"
@@ -15,8 +14,8 @@
 #include "common/status.h"
 #include "rdf/graph.h"
 #include "rdf/mvcc.h"
+#include "sparql/bgp.h"
 #include "sparql/exec_stats.h"
-#include "sparql/plan_cache.h"
 #include "sparql/result_table.h"
 
 namespace rdfa::endpoint {
@@ -64,9 +63,6 @@ struct QueryResponse {
   double queued_ms = 0;    ///< time spent waiting for an admission slot
   size_t queue_depth = 0;  ///< waiters still queued when admitted / shed
   bool cache_hit = false;
-  /// The execution reused a cached plan (parse + BGP reordering skipped).
-  /// Always false on answer-cache hits — nothing executed at all.
-  bool plan_cache_hit = false;
   /// Outcome of the request. OK for a served answer. DeadlineExceeded /
   /// Cancelled when the query tripped its budget mid-execution — the table
   /// is empty but exec_stats keeps the partial work (aborted stage, rows
@@ -79,35 +75,19 @@ struct QueryResponse {
   sparql::ExecStats exec_stats;
 };
 
-/// One served query, as kept in the endpoint's log.
-struct QueryLogEntry {
-  std::string query_head;  ///< first line of the query text
-  double exec_ms = 0;
-  double total_ms = 0;
-  double queued_ms = 0;    ///< admission-queue wait
-  size_t rows = 0;
-  bool cache_hit = false;
-};
-
-/// Aggregate statistics over the query log.
+/// Outcome counters of the endpoint. Latency distributions live in the
+/// QueryResponses (and the rdfa_endpoint_queued_ms histogram), not here, so
+/// a long-running server keeps no per-query state.
 struct EndpointStats {
-  size_t count = 0;
-  double mean_exec_ms = 0;
-  double max_exec_ms = 0;
-  double p95_exec_ms = 0;
-  double mean_total_ms = 0;
-  double p50_total_ms = 0;
-  double p99_total_ms = 0;
-  double p50_queued_ms = 0;  ///< median admission-queue wait
-  double p99_queued_ms = 0;  ///< tail admission-queue wait
+  size_t count = 0;      ///< answered queries (hits, runs, in-run aborts)
   size_t shed = 0;       ///< admission rejections (ResourceExhausted)
   size_t timed_out = 0;  ///< queries that tripped their deadline
   size_t cancelled = 0;  ///< cooperatively cancelled queries
 };
 
 /// A SPARQL endpoint facade over the local engine with the latency model,
-/// an optional generation-checked answer + plan cache (an ablation knob),
-/// and a query log.
+/// an optional generation-checked answer cache (an ablation knob), and
+/// outcome counters.
 ///
 /// Caching protocol: every cached artifact is stamped with the graph's
 /// mutation generation (rdf::Graph::Generation()) read *before* execution.
@@ -201,15 +181,15 @@ class SimulatedEndpoint {
   int thread_count() const { return thread_count_; }
 
   /// Join-strategy override for served queries (default kAdaptive). The
-  /// planner configuration is folded into the answer/plan cache keys, so
-  /// entries never leak across configurations.
+  /// planner configuration is folded into the answer-cache key (it shapes
+  /// row order), so entries never leak across configurations.
   void set_join_strategy(sparql::JoinStrategy strategy) {
     join_strategy_ = strategy;
   }
   sparql::JoinStrategy join_strategy() const { return join_strategy_; }
 
   /// Planner-v2 DP join ordering for served queries (default off); see
-  /// Executor::set_use_dp. Folded into the cache keys like the strategy.
+  /// Executor::set_use_dp. Folded into the cache key like the strategy.
   void set_use_dp(bool on) { use_dp_ = on; }
   bool use_dp() const { return use_dp_; }
 
@@ -227,26 +207,26 @@ class SimulatedEndpoint {
   const LatencyProfile& profile() const { return profile_; }
   size_t queries_served() const;
   size_t cache_hits() const;
-  /// Drops every answer- and plan-cache entry and zeroes the hit counters,
-  /// so hit-rate math after a clear starts from scratch.
+  /// Drops every answer-cache entry and zeroes the hit counters, so
+  /// hit-rate math after a clear starts from scratch.
   void ClearCache();
 
-  /// Replaces the answer cache (and the derived plan cache) with freshly
-  /// configured, empty ones. Not synchronized against in-flight queries —
-  /// configure before serving traffic.
+  /// Replaces the answer cache with a freshly configured, empty one. Not
+  /// synchronized against in-flight queries — configure before serving
+  /// traffic.
   void set_cache_options(CacheOptions opts);
   CacheOptions cache_options() const { return cache_opts_; }
   bool cache_enabled() const { return answer_cache_->enabled(); }
-  /// Counters of the two cache layers (hits/misses/evictions/
-  /// invalidations/residency). Cumulative until ClearCache().
+  /// Answer-cache counters (hits/misses/evictions/invalidations/
+  /// residency). Cumulative until ClearCache().
   CacheStats answer_cache_stats() const { return answer_cache_->Stats(); }
-  CacheStats plan_cache_stats() const { return plan_cache_->Stats(); }
+  /// Always empty: there is no plan cache. Every answer-cache miss parses
+  /// and plans afresh, since a click stream's fresh constants never
+  /// repeated a plan whose answer had gone. Kept only because the per-layer
+  /// report of perfbench/loop_bench.cc reads it (endpoint.plan_hit_rate).
+  CacheStats plan_cache_stats() const { return {}; }
 
-  /// Every successfully served query, in order. Not synchronized — read it
-  /// only once concurrent queries have drained.
-  const std::vector<QueryLogEntry>& log() const { return log_; }
-  /// Aggregates over the log and the shed/timeout/cancel counters (empty
-  /// log -> zeroed latency fields).
+  /// The answered/shed/timeout/cancel counters.
   EndpointStats Stats() const;
 
   /// When set, every served query gets a span tracer attached (unless the
@@ -285,19 +265,17 @@ class SimulatedEndpoint {
   sparql::JoinStrategy join_strategy_ = sparql::JoinStrategy::kAdaptive;
   bool use_dp_ = false;
 
-  /// Cache layers. Internally synchronized (sharded locks); the unique_ptrs
-  /// themselves are only replaced by set_cache_options, which must not race
-  /// with queries. The plan cache is gated by the same enablement knob so a
-  /// cache-off endpoint is a true no-reuse baseline.
+  /// Answer cache. Internally synchronized (sharded locks); the unique_ptr
+  /// itself is only replaced by set_cache_options, which must not race with
+  /// queries.
   CacheOptions cache_opts_;
   std::unique_ptr<LruCache<sparql::ResultTable>> answer_cache_;
-  std::unique_ptr<sparql::PlanCache> plan_cache_;
 
-  /// Guards the service state: log, counters, jitter stream. Never held
+  /// Guards the service state: counters, jitter stream. Never held
   /// together with adm_mu_.
   mutable std::mutex mu_;
-  std::vector<QueryLogEntry> log_;
   size_t queries_served_ = 0;
+  size_t answered_count_ = 0;
   size_t cache_hits_ = 0;
   size_t shed_count_ = 0;
   size_t timeout_count_ = 0;

@@ -791,8 +791,7 @@ Status AfterStep(const JoinOptions& opts, const CompiledPattern& p,
 // plan shape, run the seed scan in the interesting-order permutation, then
 // each later step as a merge (when qualified and the strategy allows) or
 // through the adaptive machinery. Annotation is a pure function of the
-// order, so a plan-cache replay of the captured order reproduces the plan
-// bit-for-bit.
+// order.
 Status ExecuteBgpV2(const rdf::Graph& graph,
                     const std::vector<CompiledPattern>& patterns,
                     const std::vector<int>& source_index, bool dp_ordered,
@@ -873,50 +872,16 @@ Status JoinBgp(const rdf::Graph& graph, std::vector<CompiledPattern> patterns,
   }
   const bool v2 = trivial_seed && !patterns.empty() &&
                   (opts.strategy == JoinStrategy::kMerge || opts.use_dp);
-  // "This plan's order came from the DP search" — deterministic across
-  // capture and replay (a replayed DP order still reports dp=true).
+  // "This plan's order came from the DP search".
   const bool dp_ordered = v2 && opts.use_dp && patterns.size() > 1 &&
                           patterns.size() <= kMaxDpPatterns;
-
-  // Plan-cache replay: apply a previously chosen order without re-running
-  // the greedy reorderer. Only a valid permutation of the pattern count is
-  // trusted — anything else (stale entry shape, corrupted data) falls back
-  // to the normal path below.
-  bool replayed = false;
-  if (opts.replay_order != nullptr &&
-      opts.replay_order->size() == patterns.size()) {
-    std::vector<CompiledPattern> ordered;
-    std::vector<int> ordered_source;
-    ordered.reserve(patterns.size());
-    ordered_source.reserve(patterns.size());
-    std::vector<bool> used(patterns.size(), false);
-    bool valid = true;
-    for (int src : *opts.replay_order) {
-      if (src < 0 || static_cast<size_t>(src) >= patterns.size() ||
-          used[src]) {
-        valid = false;
-        break;
-      }
-      used[src] = true;
-      ordered.push_back(patterns[src]);
-      ordered_source.push_back(src);
-    }
-    if (valid) {
-      TraceSpan plan_span(tracer, "plan");
-      plan_span.Arg("patterns", static_cast<uint64_t>(patterns.size()));
-      plan_span.Arg("replayed", true);
-      patterns = std::move(ordered);
-      source_index = std::move(ordered_source);
-      replayed = true;
-    }
-  }
 
   // Join ordering. DP (planner v2) replaces the greedy reorderer when
   // enabled and the BGP is small enough — and, being the reorderer itself,
   // it also applies when `reorder` is off, making the chosen order immune
   // to source-order accidents. Orders only change performance, never the
   // result set.
-  if (!replayed && patterns.size() > 1 && (reorder || dp_ordered)) {
+  if (patterns.size() > 1 && (reorder || dp_ordered)) {
     TraceSpan plan_span(tracer, "plan");
     plan_span.Arg("patterns", static_cast<uint64_t>(patterns.size()));
     plan_span.Arg("calibrated", opts.calibrated_estimates);
@@ -958,10 +923,6 @@ Status JoinBgp(const rdf::Graph& graph, std::vector<CompiledPattern> patterns,
     }
     patterns = std::move(ordered);
     source_index = std::move(ordered_source);
-  }
-
-  if (opts.capture_order != nullptr) {
-    opts.capture_order->assign(source_index.begin(), source_index.end());
   }
 
   const int threads = std::max(1, opts.threads);

@@ -109,15 +109,6 @@ struct JoinOptions {
   /// decoding every key in the range (the bench --ablate-sip baseline;
   /// forces serial merge execution). Identical result bytes either way.
   bool sip = true;
-  /// Plan-cache replay: a join order previously chosen for this BGP (source
-  /// indexes in execution order, the ExecStats::join_order format). When it
-  /// is a valid permutation of the pattern count, the greedy reorderer is
-  /// skipped and this order applied verbatim; otherwise it is ignored.
-  /// Orders only change performance, never result bytes.
-  const std::vector<int>* replay_order = nullptr;
-  /// Plan-cache capture: when set, receives the order actually executed
-  /// (whether replayed, greedily chosen, or source order).
-  std::vector<int>* capture_order = nullptr;
   /// When set, runs after every executed step: the executor applies the
   /// FILTERs that step made ready. The join stops at the first step that
   /// leaves no rows, so later steps and their hooks never run.

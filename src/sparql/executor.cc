@@ -245,27 +245,8 @@ Result<BindingTable> Executor::EvalPattern(const GraphPattern& pattern,
           jopts.use_dp = use_dp_;
           jopts.sip = sip_;
           if (push_filters_) jopts.after_step = &after_step;
-          // Plan-cache hookup: BGP join runs are numbered in evaluation
-          // order (deterministic for a fixed AST + graph), so a replayed
-          // query consumes the cached order recorded at the same position.
-          const size_t seq = bgp_seq_++;
-          std::vector<int> replay;
-          if (replay_orders_ != nullptr && seq < replay_orders_->size()) {
-            replay = (*replay_orders_)[seq];
-            jopts.replay_order = &replay;
-          }
-          std::vector<int> chosen;
-          if (capture_orders_ != nullptr && seq < kMaxCachedBgpOrders) {
-            jopts.capture_order = &chosen;
-          }
           Status join_status = JoinBgp(*graph_, std::move(compiled),
                                        reorder_joins_, jopts, &rows);
-          if (jopts.capture_order != nullptr) {
-            if (capture_orders_->size() <= seq) {
-              capture_orders_->resize(seq + 1);
-            }
-            (*capture_orders_)[seq] = std::move(chosen);
-          }
           stats_.bgp_ms += MsSince(start);
           RDFA_RETURN_NOT_OK(join_status);
         }
@@ -778,7 +759,6 @@ Result<ResultTable> Executor::Execute(const ParsedQuery& query) {
   stats_.Reset();
   decode_cache_.Clear();
   stats_.threads = threads_;
-  bgp_seq_ = 0;
   auto total_start = std::chrono::steady_clock::now();
   TraceSpan exec_span(ctx_.tracer(), "execute");
   exec_span.Arg("threads", static_cast<int64_t>(threads_));

@@ -85,21 +85,6 @@ class Executor {
   const ExecStats& stats() const { return stats_; }
   void ResetStats() { stats_.Reset(); }
 
-  /// Plan-cache hooks. ReplayJoinOrders installs previously captured BGP
-  /// join orders — one vector per BGP join run, consumed positionally in
-  /// evaluation order by subsequent Execute() calls, bypassing the greedy
-  /// reorderer (a shape mismatch falls back to it). CaptureJoinOrders
-  /// records the orders an execution actually chooses into `*out`. Orders
-  /// affect join cost only, never result bytes; both hooks accept nullptr
-  /// to detach. The pointees must outlive the Execute() calls.
-  void ReplayJoinOrders(const std::vector<std::vector<int>>* orders) {
-    replay_orders_ = orders;
-  }
-  void CaptureJoinOrders(std::vector<std::vector<int>>* out) {
-    if (out != nullptr) out->clear();
-    capture_orders_ = out;
-  }
-
   Result<ResultTable> Select(const SelectQuery& query);
   Result<bool> Ask(const AskQuery& query);
   /// Instantiates the CONSTRUCT template into `*out`; returns the number of
@@ -147,11 +132,6 @@ class Executor {
   /// per variable name it mentions (CollectPatternVars).
   static BindingTable SeedFor(const GraphPattern& where);
 
-  /// Upper bound on BGP join runs captured per query: keeps plan entries
-  /// for EXISTS-heavy queries (one run per probed row) from ballooning.
-  /// Runs past the cap just re-run the greedy reorderer.
-  static constexpr size_t kMaxCachedBgpOrders = 64;
-
   rdf::Graph* graph_;
   bool reorder_joins_;
   bool push_filters_;
@@ -165,9 +145,6 @@ class Executor {
   /// Numeric decodes shared by FILTER comparisons and aggregates; cleared
   /// by Execute() and Update() so its memory lasts one query.
   TermDecodeCache decode_cache_;
-  const std::vector<std::vector<int>>* replay_orders_ = nullptr;
-  std::vector<std::vector<int>>* capture_orders_ = nullptr;
-  size_t bgp_seq_ = 0;
 };
 
 /// Parses and executes `text` in one call.

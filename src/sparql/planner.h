@@ -30,8 +30,7 @@ struct PlannedStep {
 /// intermediate stays sorted by — set by the first pattern's scan
 /// permutation and preserved by every later operator, since all of them
 /// extend rows in input order) plus per-step strategy and permutation
-/// choices. Derived deterministically from the execution order alone, so a
-/// plan-cache replay of the captured order reproduces it bit-for-bit.
+/// choices. Derived deterministically from the execution order alone.
 struct BgpPlan {
   std::vector<PlannedStep> steps;  ///< one per pattern, execution order
   int head_slot = -1;              ///< interesting-order binding slot

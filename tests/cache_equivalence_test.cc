@@ -1,5 +1,5 @@
-// Differential cache-equivalence suite: the generation-aware answer/plan
-// cache must be *observationally invisible* — a cache-on endpoint and a
+// Differential cache-equivalence suite: the generation-aware answer cache
+// must be *observationally invisible* — a cache-on endpoint and a
 // cache-off endpoint over the same mutating graph must return byte-identical
 // answers at every step of a randomized query/update interleaving, across
 // seeds and thread counts, under eviction pressure, and under concurrent
@@ -68,9 +68,12 @@ void BuildGraph(rdf::Graph* g, size_t laptops) {
 /// asserting byte-identical answers from the cache-on and cache-off
 /// endpoints at every step, then a forced query/update/query sequence that
 /// demonstrates at least one generation invalidation and one refreshed hit.
-void RunDifferential(uint32_t seed, int threads) {
+/// `use_dp` runs both endpoints under the DP join planner, the configuration
+/// the HTTP server serves with; the planner choice lands in the cache key.
+void RunDifferential(uint32_t seed, int threads, bool use_dp = false) {
   SCOPED_TRACE("seed=" + std::to_string(seed) +
-               " threads=" + std::to_string(threads));
+               " threads=" + std::to_string(threads) +
+               " use_dp=" + std::to_string(use_dp));
   rdf::Graph g;
   BuildGraph(&g, 100);
 
@@ -79,6 +82,8 @@ void RunDifferential(uint32_t seed, int threads) {
                              /*enable_cache=*/false);
   cached.set_thread_count(threads);
   uncached.set_thread_count(threads);
+  cached.set_use_dp(use_dp);
+  uncached.set_use_dp(use_dp);
 
   const std::vector<std::string> pool = QueryPool();
   std::mt19937 rng(seed);
@@ -138,6 +143,26 @@ TEST(CacheEquivalenceTest, DifferentialSeed2Parallel) {
 }
 TEST(CacheEquivalenceTest, DifferentialSeed3Parallel) {
   RunDifferential(3, 4);
+}
+// The server's planner: every miss re-parses and re-plans with DP and must
+// still match the cache-off endpoint byte for byte.
+TEST(CacheEquivalenceTest, DifferentialSeed1SerialDp) {
+  RunDifferential(1, 1, /*use_dp=*/true);
+}
+TEST(CacheEquivalenceTest, DifferentialSeed2SerialDp) {
+  RunDifferential(2, 1, /*use_dp=*/true);
+}
+TEST(CacheEquivalenceTest, DifferentialSeed3SerialDp) {
+  RunDifferential(3, 1, /*use_dp=*/true);
+}
+TEST(CacheEquivalenceTest, DifferentialSeed1ParallelDp) {
+  RunDifferential(1, 4, /*use_dp=*/true);
+}
+TEST(CacheEquivalenceTest, DifferentialSeed2ParallelDp) {
+  RunDifferential(2, 4, /*use_dp=*/true);
+}
+TEST(CacheEquivalenceTest, DifferentialSeed3ParallelDp) {
+  RunDifferential(3, 4, /*use_dp=*/true);
 }
 
 // Eviction pressure: a cache squeezed to 2 entries churns constantly; the

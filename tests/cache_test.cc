@@ -1,8 +1,8 @@
 // Unit coverage of the generation-aware cache stack: the byte-accounted
 // LRU template (exact accounting, eviction order, zero-capacity and
 // oversized-entry edge cases, generation-mismatch lazy invalidation), the
-// whitespace-normalizing query fingerprint it is keyed by, the plan cache,
-// and the no-poisoned-entry guarantee — a deterministically cancelled
+// whitespace-normalizing query fingerprint it is keyed by, and the
+// no-poisoned-entry guarantee — a deterministically cancelled
 // cache-miss fill must leave nothing behind.
 
 #include "common/lru_cache.h"
@@ -16,8 +16,6 @@
 #include "common/query_context.h"
 #include "common/query_log.h"
 #include "endpoint/endpoint.h"
-#include "sparql/parser.h"
-#include "sparql/plan_cache.h"
 #include "workload/invoices.h"
 
 namespace rdfa {
@@ -288,33 +286,6 @@ TEST(NormalizeQueryTextTest, ReformattingsShareAFingerprint) {
 }
 
 // ---------------------------------------------------------------------------
-// Plan cache
-
-TEST(PlanCacheTest, RoundTripsParsedQueriesPerGeneration) {
-  sparql::PlanCache cache;
-  ASSERT_TRUE(cache.enabled());
-  const uint64_t h = HashQueryText("SELECT ?x WHERE { ?x ?p ?o }");
-  EXPECT_EQ(cache.Get(h, 1), nullptr);
-
-  auto parsed = sparql::ParseQuery("SELECT ?x WHERE { ?x ?p ?o }");
-  ASSERT_TRUE(parsed.ok());
-  sparql::PlanEntry entry;
-  entry.ast = parsed.value();
-  entry.bgp_orders = {{1, 0}};
-  cache.Put(h, 1, std::move(entry));
-
-  auto hit = cache.Get(h, 1);
-  ASSERT_NE(hit, nullptr);
-  ASSERT_EQ(hit->bgp_orders.size(), 1u);
-  EXPECT_EQ(hit->bgp_orders[0], (std::vector<int>{1, 0}));
-
-  // A different generation invalidates: plans ride on statistics that the
-  // mutation may have shifted.
-  EXPECT_EQ(cache.Get(h, 2), nullptr);
-  EXPECT_EQ(cache.Stats().invalidations, 1u);
-}
-
-// ---------------------------------------------------------------------------
 // No poisoned entries: a cache-miss fill whose execution trips
 // cancellation (deterministically, via the check-count fault injection)
 // must leave the cache empty — the next lookup re-executes and succeeds.
@@ -349,7 +320,6 @@ TEST(CachePoisonTest, CancelledFillLeavesNoEntryBehind) {
 
   CacheStats stats = ep.answer_cache_stats();
   EXPECT_EQ(stats.entries, 0u) << "cancelled fill stored a poisoned entry";
-  EXPECT_EQ(ep.plan_cache_stats().entries, 0u);
 
   // The next lookup is a miss that executes cleanly and caches the real
   // answer.

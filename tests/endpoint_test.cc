@@ -204,16 +204,23 @@ TEST_F(EndpointTest, TightBudgetTripsMidExecutionWithPartialStats) {
   EXPECT_EQ(resp.value().table.num_rows(), 0u);
   EndpointStats stats = ep.Stats();
   EXPECT_EQ(stats.timed_out, 1u);
-  EXPECT_EQ(stats.count, 1u);  // the trip is still logged
+  EXPECT_EQ(stats.count, 1u);  // the trip is still counted as answered
 }
 
-TEST_F(EndpointTest, StatsReportPercentiles) {
+TEST_F(EndpointTest, StatsCountAnsweredQueries) {
   SimulatedEndpoint ep(&g_, LatencyProfile::OffPeak());
-  for (int i = 0; i < 5; ++i) ASSERT_TRUE(ep.Query(kQuery).ok());
+  for (int i = 0; i < 5; ++i) {
+    auto resp = ep.Query(kQuery);
+    ASSERT_TRUE(resp.ok());
+    // Off-peak totals carry the modelled round-trip on top of execution.
+    EXPECT_GE(resp.value().total_ms,
+              resp.value().exec_ms + resp.value().network_ms);
+    EXPECT_GT(resp.value().total_ms, 0.0);
+  }
   EndpointStats stats = ep.Stats();
   EXPECT_EQ(stats.count, 5u);
-  EXPECT_GT(stats.p50_total_ms, 0.0);
-  EXPECT_GE(stats.p99_total_ms, stats.p50_total_ms);
+  EXPECT_EQ(stats.shed, 0u);
+  EXPECT_EQ(stats.timed_out, 0u);
 }
 
 // Regression anchor: the pre-generation cache kept serving the answer
@@ -288,32 +295,10 @@ TEST_F(EndpointTest, ClearCacheResetsHitCounter) {
   EXPECT_EQ(ep.cache_hits(), 1u);
 }
 
-TEST_F(EndpointTest, PlanCacheHitSkipsParsingButNotExecution) {
-  SimulatedEndpoint ep(&g_, LatencyProfile::Local(), /*enable_cache=*/true);
-  auto first = ep.Query(kQuery);
-  ASSERT_TRUE(first.ok());
-  EXPECT_FALSE(first.value().plan_cache_hit);
-  EXPECT_EQ(ep.plan_cache_stats().entries, 1u);
-
-  // An update keeps the answer cache from hitting; the plan is recomputed
-  // too (plans validate against the statistics' generation).
-  auto updated = sparql::ExecuteUpdateString(
-      &g_,
-      "PREFIX inv: <http://www.ics.forth.gr/invoices#>\n"
-      "INSERT DATA { inv:i98 inv:takesPlaceAt inv:br2 . "
-      "inv:i98 inv:inQuantity 7 . }");
-  ASSERT_TRUE(updated.ok());
-  auto second = ep.Query(kQuery);
-  ASSERT_TRUE(second.ok());
-  EXPECT_FALSE(second.value().cache_hit);
-  EXPECT_FALSE(second.value().plan_cache_hit);
-  EXPECT_TRUE(second.value().status.ok());
-}
-
-TEST_F(EndpointTest, PlanCacheServesWhenAnswerCacheCannotHold) {
+TEST_F(EndpointTest, OversizedAnswerReexecutesToIdenticalBytes) {
   // A 1-byte answer budget keeps every answer out of the cache (oversized
-  // entries are skipped), so repeats re-execute — but the plan layer still
-  // hits, skipping parse + reorder while producing identical bytes.
+  // entries are skipped), so repeats re-parse and re-execute to identical
+  // bytes.
   SimulatedEndpoint ep(&g_, LatencyProfile::Local(), /*enable_cache=*/true);
   CacheOptions opts;
   opts.max_bytes = 1;
@@ -322,14 +307,11 @@ TEST_F(EndpointTest, PlanCacheServesWhenAnswerCacheCannotHold) {
   auto first = ep.Query(kQuery);
   ASSERT_TRUE(first.ok());
   ASSERT_TRUE(first.value().status.ok());
-  EXPECT_FALSE(first.value().plan_cache_hit);
   auto second = ep.Query(kQuery);
   ASSERT_TRUE(second.ok());
   ASSERT_TRUE(second.value().status.ok());
   EXPECT_FALSE(second.value().cache_hit);
-  EXPECT_TRUE(second.value().plan_cache_hit);
   EXPECT_EQ(second.value().table.ToTsv(), first.value().table.ToTsv());
-  EXPECT_EQ(ep.plan_cache_stats().hits, 1u);
   EXPECT_EQ(ep.answer_cache_stats().entries, 0u);
 }
 

@@ -650,39 +650,9 @@ TEST(MetricsTickTest, CacheCountersTickExactlyOncePerEvent) {
   for (const char* needle :
        {"rdfa_endpoint_cache_hits_total", "rdfa_endpoint_cache_misses_total",
         "rdfa_endpoint_cache_evictions_total",
-        "rdfa_endpoint_cache_invalidations_total",
-        "rdfa_plan_cache_hits_total", "rdfa_plan_cache_misses_total"}) {
+        "rdfa_endpoint_cache_invalidations_total"}) {
     EXPECT_NE(text.find(needle), std::string::npos) << needle;
   }
-}
-
-TEST(MetricsTickTest, PlanCacheCountersTickExactlyOncePerEvent) {
-  MetricsRegistry::Global().ResetForTest();
-  rdf::Graph g;
-  workload::BuildInvoicesExample(&g);
-  endpoint::SimulatedEndpoint ep(&g, endpoint::LatencyProfile::Local(),
-                                 /*enable_cache=*/true);
-  // A 1-byte answer budget forces every repeat onto the plan-cache path
-  // (answers are never resident, plans are).
-  CacheOptions opts;
-  opts.max_bytes = 1;
-  opts.shards = 1;
-  ep.set_cache_options(opts);
-
-  auto first = ep.Query(kInvQuery);   // plan miss
-  auto second = ep.Query(kInvQuery);  // plan hit
-  ASSERT_TRUE(first.ok() && second.ok());
-  ASSERT_TRUE(second.value().plan_cache_hit);
-
-  MetricsRegistry& reg = MetricsRegistry::Global();
-  const Counter* hits = reg.FindCounter("rdfa_plan_cache_hits_total");
-  const Counter* misses = reg.FindCounter("rdfa_plan_cache_misses_total");
-  ASSERT_NE(hits, nullptr);
-  ASSERT_NE(misses, nullptr);
-  EXPECT_EQ(hits->Value(), 1u);
-  EXPECT_EQ(misses->Value(), 1u);
-  EXPECT_EQ(ep.plan_cache_stats().hits, 1u);
-  EXPECT_EQ(ep.plan_cache_stats().misses, 1u);
 }
 
 TEST(MetricsTickTest, RollupCacheCountersShareTheProtocol) {
@@ -757,7 +727,8 @@ TEST(QueryLogTest, EndpointWritesTraceFilesAndStructuredLog) {
   ep.set_trace_dir(dir);
   ep.set_query_log_path(log_path);
 
-  ASSERT_TRUE(ep.Query(kInvQuery).ok());
+  auto served = ep.Query(kInvQuery);
+  ASSERT_TRUE(served.ok());
   // A parse failure must still produce a log line (outcome "error").
   EXPECT_FALSE(ep.Query("SELECT FROM NOWHERE").ok());
 
@@ -786,10 +757,11 @@ TEST(QueryLogTest, EndpointWritesTraceFilesAndStructuredLog) {
   }
   EXPECT_GE(trace_files, 1u);
 
-  // Endpoint-side queue stats surfaced in Stats() for the bench summaries.
-  endpoint::EndpointStats stats = ep.Stats();
-  EXPECT_GE(stats.p50_queued_ms, 0.0);
-  EXPECT_GE(stats.p99_queued_ms, stats.p50_queued_ms);
+  // The response carries its own queue wait; the counters see one answered
+  // query (the parse failure is a transport error, not an answer).
+  EXPECT_GE(served.value().queued_ms, 0.0);
+  EXPECT_LE(served.value().queued_ms, served.value().total_ms);
+  EXPECT_EQ(ep.Stats().count, 1u);
 
   fs::remove_all(dir, ec);
   fs::remove(log_path, ec);
@@ -1205,12 +1177,13 @@ TEST(SlowQueryCaptureTest, EndpointCapturesForensicRecordWithProfile) {
     std::string content((std::istreambuf_iterator<char>(in)),
                         std::istreambuf_iterator<char>());
     ASSERT_TRUE(JsonChecker::Valid(content)) << entry.path();
-    // The capture is a full query-log record: outcome, stats, the new
-    // planner/storage markers, and the embedded operator profile.
+    // The capture is a full query-log record: outcome, stats (with the
+    // per-step join strategies), the storage marker, and the embedded
+    // operator profile.
     EXPECT_NE(content.find("\"outcome\":\"ok\""), std::string::npos);
     EXPECT_NE(content.find("\"storage_backend\":\"heap\""),
               std::string::npos);
-    EXPECT_NE(content.find("\"join_strategies\":"), std::string::npos);
+    EXPECT_NE(content.find("\"join_strategy\":["), std::string::npos);
     EXPECT_NE(content.find("\"profile\":"), std::string::npos);
     EXPECT_NE(content.find("\"op\":\"execute\""), std::string::npos);
     EXPECT_NE(content.find("\"op\":\"bgp-join\""), std::string::npos);

@@ -22,7 +22,6 @@
 #include "sparql/bgp.h"
 #include "sparql/executor.h"
 #include "sparql/parser.h"
-#include "sparql/plan_cache.h"
 #include "sparql/planner.h"
 #include "test_temp_path.h"
 #include "workload/products.h"
@@ -483,80 +482,6 @@ TEST(PlannerV2Test, CancelTripsInsideMergeAdvanceDeterministically) {
   EXPECT_EQ(stats.join_strategy[0], 'S');
   EXPECT_EQ(stats.join_strategy[1], 'M');
   EXPECT_GT(stats.rows_scanned[1], 0u);
-}
-
-// ---- plan capture / replay -----------------------------------------------
-
-TEST(PlannerV2Test, CapturedOrderReplayReproducesPlanBitForBit) {
-  auto g = BuildKg(7, 300);
-  auto run = [&](const std::vector<int>* replay, std::vector<int>* capture,
-                 sparql::ExecStats* stats) {
-    sparql::VarTable vars;
-    std::vector<sparql::CompiledPattern> patterns = {
-        Pat(*g, &vars, "?l", "manufacturer", "?m"),
-        Pat(*g, &vars, "?m", "origin", "?c"),
-        Pat(*g, &vars, "?c", "GDPPerCapita", "?gdp"),
-    };
-    sparql::BindingTable rows(vars.size());
-    rows.AppendUnbound();
-    sparql::JoinOptions jopts;
-    jopts.use_dp = true;
-    jopts.stats = stats;
-    jopts.replay_order = replay;
-    jopts.capture_order = capture;
-    Status st = sparql::JoinBgp(*g, patterns, /*reorder=*/true,
-                                jopts, &rows);
-    EXPECT_TRUE(st.ok()) << st.ToString();
-    return rows;
-  };
-  std::vector<int> captured;
-  sparql::ExecStats first_stats;
-  const sparql::BindingTable first =
-      run(nullptr, &captured, &first_stats);
-  ASSERT_EQ(captured.size(), 3u);
-  EXPECT_EQ(first_stats.dp_plans, 1u);
-  ASSERT_EQ(first_stats.plan_shapes.size(), 1u);
-
-  sparql::ExecStats replayed_stats;
-  const sparql::BindingTable replayed =
-      run(&captured, nullptr, &replayed_stats);
-  ASSERT_EQ(replayed.size(), first.size());
-  for (size_t i = 0; i < first.size(); ++i) {
-    EXPECT_TRUE(std::ranges::equal(first[i], replayed[i])) << "row " << i;
-  }
-  // Annotation is a pure function of the order: the replayed run rebuilds
-  // the identical explainable plan, strategies and permutations included.
-  ASSERT_EQ(replayed_stats.plan_shapes.size(), 1u);
-  EXPECT_EQ(replayed_stats.plan_shapes[0], first_stats.plan_shapes[0]);
-  EXPECT_EQ(replayed_stats.join_order, first_stats.join_order);
-  EXPECT_EQ(replayed_stats.join_strategy, first_stats.join_strategy);
-}
-
-// ---- plan-cache config key -----------------------------------------------
-
-TEST(PlanCacheConfigKeyTest, DistinguishesEveryPlannerKnobCombination) {
-  const uint64_t h = 0x1234ABCD5678EF90ull;
-  std::vector<uint64_t> keys;
-  for (sparql::JoinStrategy strategy :
-       {sparql::JoinStrategy::kAdaptive, sparql::JoinStrategy::kNestedLoop,
-        sparql::JoinStrategy::kHash, sparql::JoinStrategy::kMerge}) {
-    for (bool use_dp : {false, true}) {
-      for (bool calibrated : {false, true}) {
-        keys.push_back(
-            sparql::PlanCache::ConfigKey(h, strategy, use_dp, calibrated));
-      }
-    }
-  }
-  std::vector<uint64_t> unique_keys = keys;
-  std::sort(unique_keys.begin(), unique_keys.end());
-  unique_keys.erase(std::unique(unique_keys.begin(), unique_keys.end()),
-                    unique_keys.end());
-  EXPECT_EQ(unique_keys.size(), keys.size());
-  // Same inputs, same key: the salt is deterministic.
-  EXPECT_EQ(sparql::PlanCache::ConfigKey(h, sparql::JoinStrategy::kMerge,
-                                         true, true),
-            sparql::PlanCache::ConfigKey(h, sparql::JoinStrategy::kMerge,
-                                         true, true));
 }
 
 }  // namespace
