@@ -46,6 +46,7 @@
 //            mode serves the timed suite. Results land under the JSON key
 //            "storage" (consumed by the CI storage-gates job).
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -290,6 +291,7 @@ int RunMixedReadWrite(size_t laptops, int rounds, bool predicate_inval,
   int failures = 0;
   uint64_t mismatches = 0;
   std::vector<double> latencies;
+  std::vector<double> commit_ms;  // one single-triple commit per round
   std::vector<std::string> reference_tsv(std::size(kSuite));
   rdfa::rdf::PrefixMap prefixes;
   for (int round = 0; round < rounds; ++round) {
@@ -323,7 +325,9 @@ int RunMixedReadWrite(size_t laptops, int rounds, bool predicate_inval,
         rdfa::rdf::Term::Iri(ns + "poke" + std::to_string(round)),
         rdfa::rdf::Term::Iri(ns + "benchPoke"),
         rdfa::rdf::Term::Integer(round));
+    const auto commit_start = std::chrono::steady_clock::now();
     auto committed = mvcc.Commit();
+    commit_ms.push_back(MsSince(commit_start));
     if (!committed.ok()) {
       std::fprintf(stderr, "mixed-rw commit failed: %s\n",
                    committed.status().ToString().c_str());
@@ -337,9 +341,16 @@ int RunMixedReadWrite(size_t laptops, int rounds, bool predicate_inval,
               static_cast<unsigned long long>(a.misses), 100 * a.HitRate(),
               static_cast<unsigned long long>(a.invalidations),
               Percentile(latencies, 0.50), Percentile(latencies, 0.99));
+  const double commit_max =
+      commit_ms.empty() ? 0 : *std::max_element(commit_ms.begin(),
+                                                commit_ms.end());
+  std::printf("single-triple commits: p50 %.3f ms, max %.3f ms\n",
+              Percentile(commit_ms, 0.50), commit_max);
   if (json_out != nullptr) {
     JsonObject obj;
     obj.AddInt("rounds", static_cast<uint64_t>(rounds));
+    obj.AddNumber("commit_p50_ms", Percentile(commit_ms, 0.50));
+    obj.AddNumber("commit_max_ms", commit_max);
     obj.AddString("invalidation", predicate_inval ? "predicate" : "global");
     obj.AddRaw("answer_cache", CacheJson(a));
     obj.AddNumber("p50_ms", Percentile(latencies, 0.50));

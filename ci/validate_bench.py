@@ -146,12 +146,18 @@ def cmd_cache_ablation(args):
     assert glob_["mismatches"] == 0, glob_
     assert pred["answer_cache"]["hit_rate"] > 0, pred["answer_cache"]
     assert glob_["answer_cache"]["hits"] == 0, glob_["answer_cache"]
+    # Commits cost O(delta): a single-triple commit layers over the shared
+    # base instead of copying the graph.
+    for leg in (pred, glob_):
+        assert leg["commit_max_ms"] <= 5, (
+            "single-triple commit took %.2f ms (max 5)" % leg["commit_max_ms"])
     print("cache off: 0 hits; cache on:", on["answer_cache"]["hits"],
           "answer hits at rate", on["answer_cache"]["hit_rate"],
           "; rollup hits:", olap["rollup_cache"]["hits"],
           "- all byte-identical; mixed-rw hit rate",
           pred["answer_cache"]["hit_rate"], "(predicate) vs",
-          glob_["answer_cache"]["hit_rate"], "(global)")
+          glob_["answer_cache"]["hit_rate"], "(global); commit max",
+          max(pred["commit_max_ms"], glob_["commit_max_ms"]), "ms")
 
 
 def cmd_storage_gates(args):

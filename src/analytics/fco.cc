@@ -21,7 +21,8 @@ std::vector<TermId> Entities(const rdf::Graph& graph,
                              const std::string& root_class) {
   std::set<TermId> out;
   if (root_class.empty()) {
-    for (const rdf::TripleId& t : graph.triples()) out.insert(t.s);
+    graph.ForEachMatch(kNoTermId, kNoTermId, kNoTermId,
+                       [&](const rdf::TripleId& t) { out.insert(t.s); });
   } else {
     TermId type = graph.terms().FindIri(rdf::rdfns::kType);
     TermId cls = graph.terms().FindIri(root_class);

@@ -24,16 +24,17 @@ Session::Session(rdf::Graph* graph, EvalMode mode)
 void Session::Start() {
   history_.clear();
   State s0;
-  for (const rdf::TripleId& t : graph_->triples()) {
-    if (t.p == vocab_.type || t.p == vocab_.sub_class_of ||
-        t.p == vocab_.sub_property_of || t.p == vocab_.domain ||
-        t.p == vocab_.range) {
-      // Schema triples: keep their subjects out of s0 unless they also
-      // carry data. (Data subjects re-enter through their data triples.)
-      if (t.p != vocab_.type) continue;
-    }
-    s0.ext.insert(t.s);
-  }
+  graph_->ForEachMatch(
+      rdf::kNoTermId, rdf::kNoTermId, rdf::kNoTermId,
+      [&](const rdf::TripleId& t) {
+        // Schema triples: keep their subjects out of s0 unless they also
+        // carry data. (Data subjects re-enter through their data triples.)
+        if (t.p == vocab_.sub_class_of || t.p == vocab_.sub_property_of ||
+            t.p == vocab_.domain || t.p == vocab_.range) {
+          return;
+        }
+        s0.ext.insert(t.s);
+      });
   history_.push_back(std::move(s0));
   InvalidateFacetMemos();
 }

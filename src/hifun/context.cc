@@ -31,7 +31,8 @@ AnalysisContext::AnalysisContext(const rdf::Graph& graph,
     }
   }
   if (!any_root) {
-    for (const rdf::TripleId& t : graph.triples()) item_set.insert(t.s);
+    graph.ForEachMatch(kNoTermId, kNoTermId, kNoTermId,
+                       [&](const rdf::TripleId& t) { item_set.insert(t.s); });
   }
   items_.assign(item_set.begin(), item_set.end());
 

@@ -31,9 +31,20 @@ namespace rdfa::rdf {
 /// AttachMapped() lets an empty graph serve every read path straight off a
 /// compressed RDFA3 snapshot (usually an mmap — see MappedGraphView) with no
 /// up-front decode. Range semantics, estimates and enumeration order are
-/// byte-identical across the two backends; the first mutation transparently
-/// materializes the graph to the heap and detaches the view, so MVCC commits
-/// (Clone + apply) work unchanged with a mapped epoch-0 base.
+/// byte-identical across the two backends.
+///
+/// Delta versions: NextVersion() makes a graph that layers a small sorted
+/// delta (inserted triples plus tombstones of base triples) over a shared,
+/// frozen base graph — heap or mapped. Every read path merges the delta into
+/// the base's permutation scans, so answers, estimates, Stats(), generation
+/// stamps and the all-wildcard enumeration order (base order minus
+/// tombstones, then inserts in insertion order) equal those of the compacted
+/// graph Compact() folds it into. Mutating a delta version edits only the
+/// delta; once the delta passes a fixed fraction of the base the graph
+/// compacts itself onto the heap. A write to a mapped graph turns it into a
+/// delta version over its own snapshot rather than decoding it. MvccGraph
+/// publishes every commit as such a version; the term table is shared by the
+/// base and all its versions (it is append-only and fully concurrent).
 ///
 /// Thread-safety contract: all const read paths (ForEachMatch / Match /
 /// CountMatch / EstimateMatch / Contains / Freeze) are safe to call from any
@@ -46,7 +57,7 @@ namespace rdfa::rdf {
 /// mid-query.
 class Graph {
  public:
-  Graph() = default;
+  Graph() : terms_(std::make_shared<TermTable>()) {}
   Graph(const Graph&) = delete;
   Graph& operator=(const Graph&) = delete;
   Graph(Graph&& other) noexcept { *this = std::move(other); }
@@ -55,6 +66,9 @@ class Graph {
     // so the index mutexes themselves need not — and cannot — be moved.
     if (this != &other) {
       terms_ = std::move(other.terms_);
+      other.terms_ = std::make_shared<TermTable>();
+      base_ = std::move(other.base_);
+      delta_ = std::move(other.delta_);
       triples_ = std::move(other.triples_);
       triple_set_ = std::move(other.triple_set_);
       spo_ = std::move(other.spo_);
@@ -157,8 +171,8 @@ class Graph {
     return static_cast<Perm>(best);
   }
 
-  TermTable& terms() { return terms_; }
-  const TermTable& terms() const { return terms_; }
+  TermTable& terms() { return *terms_; }
+  const TermTable& terms() const { return *terms_; }
 
   /// Adds a triple of terms (interning them); returns false if the triple
   /// was already present.
@@ -175,33 +189,88 @@ class Graph {
   size_t RemoveMatching(TermId s, TermId p, TermId o);
 
   size_t size() const {
+    if (base_ != nullptr) {
+      return base_->size() + delta_.added[kPermSPO].size() -
+             delta_.removed[kPermSPO].size();
+    }
     return view_ != nullptr ? view_->triple_count() : triples_.size();
   }
 
-  /// The triple list in enumeration order. On a mapped graph the list is
-  /// materialized (in SPO order, matching a heap load of the same snapshot)
-  /// on first call; pattern scans never need it.
+  /// The triple list in enumeration order. On a mapped graph or a delta
+  /// version the list is materialized (in the ForEachMatch all-wildcard
+  /// order) on first call; pattern scans never need it, and read paths
+  /// should prefer ForEachMatch(kNoTermId, kNoTermId, kNoTermId, ...).
   const std::vector<TripleId>& triples() const {
-    if (view_ != nullptr && !triples_ready_.load(std::memory_order_acquire)) {
-      MaterializeTriples();
-    }
+    if (!triples_ready_.load(std::memory_order_acquire)) MaterializeTriples();
     return triples_;
   }
 
   /// Backs this (empty) graph with a parsed RDFA3 snapshot view: reads are
   /// answered from the compressed, lazily-decoded snapshot; stats and
-  /// generation stamps are adopted from it. The first mutation materializes
-  /// to the heap and detaches. Requires exclusive access.
+  /// generation stamps are adopted from it. The first mutation keeps the
+  /// view as the base of a delta version (see LayerOverView). Requires
+  /// exclusive access.
   void AttachMapped(std::shared_ptr<const MappedGraphView> view);
 
-  /// The attached snapshot view, or nullptr once detached / never attached.
-  const MappedGraphView* mapped() const { return view_.get(); }
+  /// The snapshot view serving reads (a delta version's base view), or
+  /// nullptr for heap storage.
+  const MappedGraphView* mapped() const {
+    return base_ != nullptr ? base_->mapped() : view_.get();
+  }
 
   /// Eagerly builds the permutation indexes if stale. Safe (and cheap when
   /// already built) from any thread; the executor calls it once per query so
   /// the first-touch rebuild cost is attributed to index_build time rather
-  /// than to the first pattern scan.
+  /// than to the first pattern scan. A delta version's indexes are its
+  /// base's (frozen before it was layered) plus its sorted delta.
   void Freeze() const { EnsureIndexes(); }
+
+  /// Builds the secondary permutations (PSO, SOP, OPS) now if they are not
+  /// built yet; a delta version builds its base's.
+  void FreezeSecondaries() const {
+    if (base_ != nullptr) {
+      base_->FreezeSecondaries();
+    } else {
+      EnsureSecondaryIndexes();
+    }
+  }
+
+  /// Whether the secondary permutations are built (a delta version reports
+  /// its base's).
+  bool secondaries_built() const {
+    if (base_ != nullptr) return base_->secondaries_built();
+    return !sec_dirty_.load(std::memory_order_acquire);
+  }
+
+  /// Total wall time spent building secondary permutations on this graph's
+  /// storage (a delta version reports its base's). The executor reads it
+  /// around a query so a lazy build shows up as index_build_ms.
+  uint64_t secondary_build_ns() const {
+    if (base_ != nullptr) return base_->secondary_build_ns();
+    return sec_build_ns_.load(std::memory_order_relaxed);
+  }
+
+  /// Makes the next version of `head`: a delta version over head's base (or
+  /// over `head` itself when it is not a delta version), carrying a copy of
+  /// head's delta, stats and generation stamps and sharing its term table.
+  /// Costs O(delta), never O(graph). Safe under concurrent readers of
+  /// `head`; the result is private to the caller until published.
+  static std::unique_ptr<Graph> NextVersion(std::shared_ptr<const Graph> head);
+
+  /// Folds a delta version into plain heap storage in place: same triples,
+  /// enumeration order, stats and generation stamps; the base is released
+  /// and indexes rebuild on the next Freeze(). No-op for a graph that is not
+  /// a delta version. Requires exclusive access.
+  void Compact();
+
+  /// The shared base of a delta version, or nullptr for a plain graph.
+  const Graph* delta_base() const { return base_.get(); }
+
+  /// Inserted plus tombstoned triples a delta version layers over its base
+  /// (0 for a plain graph).
+  size_t delta_size() const {
+    return delta_.added[kPermSPO].size() + delta_.removed[kPermSPO].size();
+  }
 
   /// Number of index rebuilds performed so far (observability / tests).
   uint64_t index_generation() const {
@@ -238,28 +307,17 @@ class Graph {
   /// cache entry carrying this footprint) intact.
   uint64_t FootprintStamp(const CacheFootprint& fp) const;
 
-  /// Deep copy: terms (ids preserved), triples, generation and predicate
-  /// epochs. Indexes and stats are rebuilt lazily by the copy (Freeze() it
-  /// before publishing to readers). Safe under concurrent const readers of
-  /// *this*, including readers interning computed literals — this is how an
-  /// MVCC commit forks the next version off a pinned snapshot.
-  std::unique_ptr<Graph> Clone() const;
-
   /// Calls `fn(const TripleId&)` for every triple matching the pattern;
   /// kNoTermId positions are wildcards. Uses the longest-bound-prefix
   /// permutation, so the narrowed range contains exactly the matches.
   template <typename Fn>
   void ForEachMatch(TermId s, TermId p, TermId o, Fn&& fn) const {
     if (s == kNoTermId && p == kNoTermId && o == kNoTermId) {
-      // A mapped graph enumerates its SPO permutation; a heap graph its
-      // insertion order. Heap loads of RDFA3 snapshots insert in SPO order,
-      // so the two backends agree byte-for-byte.
-      if (view_ != nullptr) {
-        view_->ForEachInPerm(kPermSPO, s, p, o, std::forward<Fn>(fn));
-        return;
+      if (base_ != nullptr) {
+        EnumerateDelta(fn);
+      } else {
+        EnumerateStored(fn);
       }
-      EnsureIndexes();
-      for (const TripleId& t : triples_) fn(t);
       return;
     }
     ForEachInPerm(ChoosePerm(s != kNoTermId, p != kNoTermId, o != kNoTermId),
@@ -272,26 +330,10 @@ class Graph {
   /// a per-row NLJ scan over the same permutation would.
   template <typename Fn>
   void ForEachInPerm(Perm perm, TermId s, TermId p, TermId o, Fn&& fn) const {
-    if (view_ != nullptr && perm <= kPermOSP) {
-      view_->ForEachInPerm(static_cast<int>(perm), s, p, o,
-                           std::forward<Fn>(fn));
-      return;
-    }
-    // Secondary permutations are not part of the snapshot format; a mapped
-    // graph serves them from the in-memory secondaries, built off the
-    // materialized triple list so enumeration order matches a heap load.
-    if (perm >= kPermPSO) {
-      EnsureSecondaryIndexes();
+    if (base_ != nullptr) {
+      ScanDelta(perm, s, p, o, fn);
     } else {
-      EnsureIndexes();
-    }
-    switch (perm) {
-      case kPermSPO: ScanIndex(spo_, {s, p, o}, kPermSPO, fn); break;
-      case kPermPOS: ScanIndex(pos_, {p, o, s}, kPermPOS, fn); break;
-      case kPermOSP: ScanIndex(osp_, {o, s, p}, kPermOSP, fn); break;
-      case kPermPSO: ScanIndex(pso_, {p, s, o}, kPermPSO, fn); break;
-      case kPermSOP: ScanIndex(sop_, {s, o, p}, kPermSOP, fn); break;
-      case kPermOPS: ScanIndex(ops_, {o, p, s}, kPermOPS, fn); break;
+      ScanStored(perm, s, p, o, fn);
     }
   }
 
@@ -410,17 +452,135 @@ class Graph {
   static std::pair<size_t, size_t> Range(const std::vector<Key>& index,
                                          const Key& key);
 
+  // The all-wildcard enumeration of a plain graph: a mapped graph
+  // enumerates its SPO permutation, a heap graph its insertion order. Heap
+  // loads of RDFA3 snapshots insert in SPO order, so the two backends agree
+  // byte-for-byte.
+  template <typename Fn>
+  void EnumerateStored(Fn& fn) const {
+    if (view_ != nullptr) {
+      view_->ForEachInPerm(kPermSPO, kNoTermId, kNoTermId, kNoTermId, fn);
+      return;
+    }
+    EnsureIndexes();
+    for (const TripleId& t : triples_) fn(t);
+  }
+
+  // ForEachInPerm over a plain graph's own storage.
+  template <typename Fn>
+  void ScanStored(Perm perm, TermId s, TermId p, TermId o, Fn& fn) const {
+    if (view_ != nullptr && perm <= kPermOSP) {
+      view_->ForEachInPerm(static_cast<int>(perm), s, p, o, fn);
+      return;
+    }
+    // Secondary permutations are not part of the snapshot format; a mapped
+    // graph serves them from the in-memory secondaries, built off the
+    // materialized triple list so enumeration order matches a heap load.
+    if (perm >= kPermPSO) {
+      EnsureSecondaryIndexes();
+    } else {
+      EnsureIndexes();
+    }
+    switch (perm) {
+      case kPermSPO: ScanIndex(spo_, {s, p, o}, kPermSPO, fn); break;
+      case kPermPOS: ScanIndex(pos_, {p, o, s}, kPermPOS, fn); break;
+      case kPermOSP: ScanIndex(osp_, {o, s, p}, kPermOSP, fn); break;
+      case kPermPSO: ScanIndex(pso_, {p, s, o}, kPermPSO, fn); break;
+      case kPermSOP: ScanIndex(sop_, {s, o, p}, kPermSOP, fn); break;
+      case kPermOPS: ScanIndex(ops_, {o, p, s}, kPermOPS, fn); break;
+    }
+  }
+
+  // Whether `k` passes the inline filter on the bound lanes of `key` that
+  // lie past its leading bound run (the range search covers the rest).
+  static bool LanesMatch(const Key& k, const Key& key) {
+    return (key.b == kNoTermId || k.b == key.b) &&
+           (key.c == kNoTermId || k.c == key.c);
+  }
+
   template <typename Fn>
   void ScanIndex(const std::vector<Key>& index, Key key, Perm perm,
                  Fn&& fn) const {
     auto [lo, hi] = Range(index, key);
     for (size_t i = lo; i < hi; ++i) {
       const Key& k = index[i];
-      if ((key.b == kNoTermId || k.b == key.b) &&
-          (key.c == kNoTermId || k.c == key.c)) {
-        fn(Unpermute(k, perm));
-      }
+      if (LanesMatch(k, key)) fn(Unpermute(k, perm));
     }
+  }
+
+  // A delta version's ForEachInPerm: the base's scan merged with the added
+  // keys of the same narrowed range, minus tombstoned base keys. When the
+  // delta has no key in the range the base scan runs untouched.
+  template <typename Fn>
+  void ScanDelta(Perm perm, TermId s, TermId p, TermId o, Fn& fn) const {
+    const Key key = PermuteKey(perm, s, p, o);
+    const std::vector<Key>& added = delta_.added[perm];
+    const std::vector<Key>& removed = delta_.removed[perm];
+    const auto [alo, ahi] = Range(added, key);
+    const auto [rlo, rhi] = Range(removed, key);
+    // The base is never itself a delta version: scan its storage directly.
+    if (alo == ahi && rlo == rhi) {
+      base_->ScanStored(perm, s, p, o, fn);
+      return;
+    }
+    const Key* a = added.data() + alo;
+    const Key* const a_end = added.data() + ahi;
+    const Key* r = removed.data() + rlo;
+    const Key* const r_end = removed.data() + rhi;
+    // Base keys below `next` (the smallest pending added or tombstoned key)
+    // pass straight through: one comparison per row.
+    const Key kEnd{kNoTermId, kNoTermId, kNoTermId};
+    auto next_event = [&] {
+      const Key na = a != a_end ? *a : kEnd;
+      const Key nr = r != r_end ? *r : kEnd;
+      return nr < na ? nr : na;
+    };
+    Key next = next_event();
+    auto merge = [&](const TripleId& t) {
+      const Key k = PermuteKey(perm, t.s, t.p, t.o);
+      if (k < next) {
+        fn(t);
+        return;
+      }
+      for (; a != a_end && *a < k; ++a) {
+        if (LanesMatch(*a, key)) fn(Unpermute(*a, perm));
+      }
+      while (r != r_end && *r < k) ++r;
+      const bool tombstoned = r != r_end && !(k < *r);
+      if (tombstoned) ++r;
+      next = next_event();
+      if (!tombstoned) fn(t);
+    };
+    base_->ScanStored(perm, s, p, o, merge);
+    for (; a != a_end; ++a) {
+      if (LanesMatch(*a, key)) fn(Unpermute(*a, perm));
+    }
+  }
+
+  // A delta version's all-wildcard enumeration: the base's order minus
+  // tombstones, then the inserts in insertion order — exactly the triple
+  // list Compact() produces.
+  template <typename Fn>
+  void EnumerateDelta(Fn& fn) const {
+    const std::vector<Key>& removed = delta_.removed[kPermSPO];
+    if (removed.empty()) {
+      base_->EnumerateStored(fn);
+    } else {
+      auto live = [&](const TripleId& t) {
+        if (!std::binary_search(removed.begin(), removed.end(),
+                                Key{t.s, t.p, t.o})) {
+          fn(t);
+        }
+      };
+      base_->EnumerateStored(live);
+    }
+    for (const TripleId& t : delta_.inserts) fn(t);
+  }
+
+  // Width of `index`'s range for `key` (see Range).
+  static size_t RangeWidth(const std::vector<Key>& index, const Key& key) {
+    const auto [lo, hi] = Range(index, key);
+    return hi - lo;
   }
 
   // Lazily (re)builds the three permutation indexes. Safe under concurrent
@@ -445,19 +605,49 @@ class Graph {
   // index_mu_ exclusively with spo_/pos_/osp_ built.
   void ComputeStatsLocked() const;
 
-  // Decodes the attached view's SPO permutation into triples_ (idempotent,
-  // safe under concurrent readers). Mutable representation change only: the
-  // observable triple list is unchanged.
+  // Fills triples_ from the all-wildcard enumeration of a mapped graph or a
+  // delta version (idempotent, safe under concurrent readers). Mutable
+  // representation change only: the observable triple list is unchanged.
   void MaterializeTriples() const;
 
-  // Hydrates triples_ + triple_set_ from the attached view and detaches it,
-  // turning this into a plain heap graph. No-op without a view. Requires
-  // exclusive access; every mutating method calls it first.
-  void MaterializeForWrite();
+  // Moves an attached view into a fresh base graph and makes this graph an
+  // empty delta version over it, so a write never decodes the snapshot.
+  // Requires exclusive access; every mutating method calls it first.
+  void LayerOverView();
 
-  TermTable terms_;
-  // Mutable because a mapped graph materializes the list lazily on first
-  // triples() access; see MaterializeTriples.
+  // Delta-version mutations (see AddIds / RemoveMatching). Stats are kept
+  // equal to the compacted graph's with O(log n) range probes per triple.
+  bool AddToDelta(const TripleId& t);
+  size_t RemoveFromDelta(TermId s, TermId p, TermId o);
+  // Compacts once the delta passes the limit below.
+  void MaybeCompact();
+
+  // A delta version compacts once its delta exceeds 1/kCompactDivisor of
+  // the base plus kCompactSlack triples. The slack keeps tiny graphs from
+  // compacting on every commit; the fraction bounds both the per-commit
+  // delta copy and the merge work a read pays.
+  static constexpr size_t kCompactDivisor = 32;
+  static constexpr size_t kCompactSlack = 256;
+
+  // What a delta version layers over its base. `added` and `removed` hold
+  // the same triples permuted into each permutation's lane order, sorted.
+  // A tombstoned base triple that is inserted again stays in `removed` and
+  // also joins `added`/`inserts`, so it enumerates after the base, as it
+  // would in the compacted graph.
+  struct Delta {
+    std::vector<TripleId> inserts;  ///< insertion order (enumeration tail)
+    std::vector<Key> added[kNumPerms];
+    std::vector<Key> removed[kNumPerms];
+  };
+
+  // Shared by a base graph and every version layered over it.
+  std::shared_ptr<TermTable> terms_;
+  // Delta version state: the frozen base (never itself a delta version) and
+  // the delta. base_ is null for a plain heap or mapped graph.
+  std::shared_ptr<const Graph> base_;
+  Delta delta_;
+  // Mutable because a mapped graph or delta version materializes the list
+  // lazily on first triples() access; see MaterializeTriples.
   mutable std::vector<TripleId> triples_;
   std::unordered_set<TripleId, TripleHash> triple_set_;
 
@@ -484,26 +674,32 @@ class Graph {
   mutable std::vector<Key> pso_;
   mutable std::vector<Key> sop_;
   mutable std::vector<Key> ops_;
+  mutable std::atomic<uint64_t> sec_build_ns_{0};
   mutable GraphStats stats_;
 
-  // RDFA3 snapshot backend; null for a plain heap graph. Detached (under
-  // the exclusive-access contract) by the first mutation.
+  // RDFA3 snapshot backend; null for a plain heap graph. Handed to a base
+  // graph (under the exclusive-access contract) by the first mutation.
   std::shared_ptr<const MappedGraphView> view_;
   mutable std::mutex materialize_mu_;
-  mutable std::atomic<bool> triples_ready_{true};  ///< false once attached
+  /// false while triples_ is an unfilled cache (mapped / delta version)
+  mutable std::atomic<bool> triples_ready_{true};
 };
 
 class Graph::MergeCursor {
  public:
   MergeCursor() = default;
 
-  bool at_end() const { return pos_ >= hi_; }
+  bool at_end() const { return pos_ >= hi_ && add_ == add_end_; }
   /// Merge-lane value (the sort key) of the current entry.
   TermId key() const { return Lane(Entry(), merge_lane_); }
   /// The current entry as a triple.
   TripleId triple() const { return Graph::Unpermute(Entry(), perm_); }
   /// Advances one entry; the new entry (if any) counts as decoded.
   void Next() {
+    if (add_ != add_end_ || rem_ != rem_end_) {
+      NextMerged();
+      return;
+    }
     ++pos_;
     if (pos_ < hi_) ++decoded_;
   }
@@ -519,7 +715,13 @@ class Graph::MergeCursor {
 
  private:
   friend class Graph;
-  Key Entry() const;
+  Key Entry() const { return on_add_ ? *add_ : BaseEntry(); }
+  Key BaseEntry() const;
+  // Delta-version flavor: advance past the current entry, then Settle.
+  void NextMerged();
+  // Skips tombstoned base entries and picks the smaller of the base entry
+  // and the next added key as the current entry.
+  void Settle();
   static TermId Lane(const Key& k, int lane) {
     return lane == 0 ? k.a : lane == 1 ? k.b : k.c;
   }
@@ -535,6 +737,16 @@ class Graph::MergeCursor {
   // lazily (kPermBlock keys at a time, same as ForEachInPerm).
   mutable std::vector<MappedGraphView::PermKey> block_;
   mutable size_t block_id_ = static_cast<size_t>(-1);
+  // Delta-version flavor: the added and tombstoned keys of the narrowed
+  // range, consumed in step with the base position. Both empty otherwise.
+  const Key* add_ = nullptr;
+  const Key* add_end_ = nullptr;
+  const Key* rem_ = nullptr;
+  const Key* rem_end_ = nullptr;
+  bool on_add_ = false;  ///< current entry is *add_, not the base's
+  /// min(*add_, *rem_) (all-kNoTermId when both are used up): base entries
+  /// below it step with one comparison.
+  Key next_event_{kNoTermId, kNoTermId, kNoTermId};
 };
 
 }  // namespace rdfa::rdf

@@ -185,27 +185,49 @@ Result<uint64_t> MvccGraph::Commit() {
     }
     RDFA_RETURN_NOT_OK(wal_->Sync());
   }
-  std::shared_ptr<Graph> base;
+  std::shared_ptr<Graph> head;
   {
     std::lock_guard<std::mutex> lock(snap_mu_);
-    base = current_;
+    head = current_;
   }
+  const bool had_secondaries = head->secondaries_built();
   const auto apply_start = std::chrono::steady_clock::now();
   std::unique_ptr<Graph> next;
+  bool compacted = false;
   {
     TraceSpan apply_span(tracer, "commit-apply");
-    next = base->Clone();
+    // O(delta): the next version shares head's base and copies only the
+    // delta, which the ops then edit.
+    next = Graph::NextVersion(head);
     for (const WalRecord& rec : pending_) {
       (void)ApplyRecord(next.get(), rec);  // skip-on-failure; see header
     }
-    // Pre-freeze so no reader ever pays the index rebuild of a new epoch.
-    next->Freeze();
+    // A delta that outgrew its fraction of the base was folded onto the
+    // heap. Build every permutation the old base had, here in the writer,
+    // so no reader ever pays that rebuild.
+    if (next->delta_base() == nullptr) {
+      compacted = true;
+      TraceSpan compact_span(tracer, "commit-compact");
+      next->Freeze();
+      if (had_secondaries) next->FreezeSecondaries();
+    }
   }
   MetricsRegistry& metrics = MetricsRegistry::Global();
   metrics
       .GetHistogram("rdfa_mvcc_commit_apply_ms", Histogram::LatencyBoundsMs(),
-                    "Commit clone+apply+freeze latency")
+                    "Commit delta copy+apply (+compaction) latency")
       .Observe(MsSince(apply_start));
+  if (compacted) {
+    metrics
+        .GetCounter("rdfa_mvcc_compactions_total",
+                    "Commits that folded the delta into a new heap base")
+        .Increment();
+  }
+  metrics
+      .GetGauge("rdfa_mvcc_delta_triples",
+                "Inserted plus tombstoned triples the current version layers "
+                "over its base")
+      .Set(static_cast<double>(next->delta_size()));
   pending_.clear();
   const auto publish_start = std::chrono::steady_clock::now();
   uint64_t published;

@@ -26,11 +26,16 @@ namespace rdfa::rdf {
 /// is pinned to is never mutated again (its term table still accepts
 /// interning of computed literals, which is internally synchronized and
 /// invisible to the triple set). Writers buffer mutations into a pending
-/// delta; Commit() merges the delta at an epoch boundary: it appends the
-/// ops to the WAL and fsyncs (durable before visible), clones the current
-/// version, applies the delta to the clone, freezes its indexes, and
-/// publishes it as the next epoch. Readers racing a commit simply keep
-/// their pin; later queries see the new version.
+/// batch; Commit() applies it at an epoch boundary: it appends the ops to
+/// the WAL and fsyncs (durable before visible), makes the next version with
+/// Graph::NextVersion — the shared frozen base plus a copy of the current
+/// sorted delta, O(delta) — applies the ops to that delta, and publishes
+/// it as the next epoch. The base and every index it built (secondaries
+/// included) survive the commit, so no reader rebuilds anything. Once the
+/// delta passes a fixed fraction of the base, the commit compacts: it folds
+/// the delta into a new heap base, builds every permutation the old base
+/// had built, and publishes that as an ordinary epoch. Readers racing a
+/// commit simply keep their pin; later queries see the new version.
 ///
 /// With `Options::wal_path` set, every committed delta is durable: Open()
 /// replays the log (tolerating a torn tail from a crash mid-append) and
@@ -80,7 +85,7 @@ class MvccGraph {
       Options opts, std::unique_ptr<Graph> base = nullptr);
 
   /// Pins the current version. Cheap (one mutex-guarded shared_ptr copy);
-  /// never blocks behind a commit's clone/apply work.
+  /// never blocks behind a commit's apply or compaction work.
   Pin Snapshot() const;
 
   uint64_t Epoch() const;

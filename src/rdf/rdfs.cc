@@ -57,9 +57,9 @@ SchemaView::SchemaView(const Graph& graph, const Vocab& v) {
   const std::set<TermId> vocab_props = {v.type, v.sub_class_of,
                                         v.sub_property_of, v.domain, v.range,
                                         v.label};
-  for (const TripleId& t : graph.triples()) {
+  graph.ForEachMatch(kNoTermId, kNoTermId, kNoTermId, [&](const TripleId& t) {
     if (vocab_props.count(t.p) == 0) properties_.insert(t.p);
-  }
+  });
 }
 
 std::set<TermId> SchemaView::Closure(
@@ -155,7 +155,8 @@ size_t MaterializeRdfsClosure(Graph* graph) {
 
   // 2. Property-instance propagation through subPropertyOf (rdfs7).
   //    Iterate over a snapshot: new triples use already-closed relations.
-  std::vector<TripleId> snapshot = graph->triples();
+  std::vector<TripleId> snapshot =
+      graph->Match(kNoTermId, kNoTermId, kNoTermId);
   for (const TripleId& t : snapshot) {
     std::set<TermId> supers = schema.Superproperties(t.p);
     for (TermId q : supers) {
@@ -164,7 +165,7 @@ size_t MaterializeRdfsClosure(Graph* graph) {
   }
 
   // 3. Domain/range typing (rdfs2, rdfs3), over the propagated instances.
-  snapshot = graph->triples();
+  snapshot = graph->Match(kNoTermId, kNoTermId, kNoTermId);
   for (const TripleId& t : snapshot) {
     for (TermId c : schema.Domains(t.p)) {
       if (graph->AddIds({t.s, v.type, c})) ++added;

@@ -41,8 +41,8 @@ class TermDictSource {
 /// shared lock on the intern index; `Intern`/`MintBlank` take it exclusively
 /// only when actually inserting. This matters because queries intern
 /// *computed* literals (aggregates, BIND results) while other readers run,
-/// and because MVCC snapshot cloning copies the table of a version readers
-/// are still pinning.
+/// and because every MVCC version shares one table: a commit interns new
+/// terms while readers of older versions keep resolving theirs.
 class TermTable {
  public:
   TermTable() = default;
@@ -87,12 +87,6 @@ class TermTable {
   /// Mints a blank node with a fresh label ("_:b<N>") guaranteed unique
   /// within this table.
   TermId MintBlank();
-
-  /// Replaces this table's contents with a deep copy of `other`, preserving
-  /// ids. Requires exclusive access to *this*; `other` may be serving
-  /// concurrent Find/Get/Intern calls (snapshot cloning copies the table of
-  /// a live version).
-  void CopyFrom(const TermTable& other);
 
  private:
   // Chunk c holds 64 << c terms; chunk bases are 64 * (2^c - 1). 28 chunks

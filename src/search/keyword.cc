@@ -49,7 +49,8 @@ std::string LocalName(const std::string& iri) {
 
 KeywordIndex::KeywordIndex(const rdf::Graph& graph) {
   std::set<TermId> subjects;
-  for (const rdf::TripleId& t : graph.triples()) {
+  graph.ForEachMatch(rdf::kNoTermId, rdf::kNoTermId, rdf::kNoTermId,
+                     [&](const rdf::TripleId& t) {
     subjects.insert(t.s);
     const rdf::Term& obj = graph.terms().Get(t.o);
     std::vector<std::string> tokens;
@@ -68,7 +69,7 @@ KeywordIndex::KeywordIndex(const rdf::Graph& graph) {
         index_[std::move(tok)].insert(t.s);
       }
     }
-  }
+  });
   num_subjects_ = subjects.size();
 }
 

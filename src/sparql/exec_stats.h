@@ -15,7 +15,7 @@ namespace rdfa::sparql {
 /// rather than asserted. All times are wall-clock milliseconds.
 struct ExecStats {
   int threads = 1;             ///< thread budget the query ran with
-  double index_build_ms = 0;   ///< Graph::Freeze (non-zero on first touch)
+  double index_build_ms = 0;   ///< Freeze + lazy secondary builds in the run
   double bgp_ms = 0;           ///< total BGP join time across pattern runs
   double group_agg_ms = 0;     ///< grouping + aggregate computation
   double total_ms = 0;         ///< whole Execute call

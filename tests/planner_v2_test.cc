@@ -365,6 +365,25 @@ TEST(PlannerV2Test, MergeStepsEngageAndSurfaceStats) {
   EXPECT_NE(stats.ToJson().find("\"plans\":["), std::string::npos);
 }
 
+// The merge step scans `?m ex:origin ?c` in PSO order; on a fresh graph that
+// scan builds the secondaries, and the query reports the build time.
+TEST(PlannerV2Test, LazySecondaryBuildCountsAsIndexBuild) {
+  auto g = BuildKg(7, 600);
+  ASSERT_FALSE(g->secondaries_built());
+  const std::string q =
+      std::string(kPfx) +
+      "SELECT ?l ?m ?c WHERE { ?l ex:manufacturer ?m . ?m ex:origin ?c . }";
+  RunOpts o;
+  o.strategy = sparql::JoinStrategy::kMerge;
+  o.use_dp = true;
+  sparql::ExecStats stats;
+  RunTsv(g.get(), q, o, &stats);
+  ASSERT_EQ(stats.merge_joins, 1u);
+  EXPECT_TRUE(g->secondaries_built());
+  EXPECT_GT(g->secondary_build_ns(), 0u);
+  EXPECT_GT(stats.index_build_ms, 0.0);
+}
+
 // ---- sideways information passing ----------------------------------------
 
 TEST(PlannerV2Test, SipAblationKeepsBytesButDecodesMoreRows) {

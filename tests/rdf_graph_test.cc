@@ -146,23 +146,26 @@ TEST(GraphGenerationTest, MoveAssignNeverAliasesEitherSourceStamp) {
   EXPECT_GT(a.FootprintStamp(one), after);
 }
 
-TEST(GraphGenerationTest, CloneCarriesEpochsAndTriples) {
-  Graph g;
-  g.Add(Iri("s"), Iri("p1"), Iri("o"));
-  g.Add(Iri("s"), Iri("p2"), Term::Integer(7));
-  g.Freeze();
+TEST(GraphGenerationTest, NextVersionCarriesEpochsAndTriples) {
+  auto g = std::make_shared<Graph>();
+  g->Add(Iri("s"), Iri("p1"), Iri("o"));
+  g->Add(Iri("s"), Iri("p2"), Term::Integer(7));
+  g->Freeze();
   CacheFootprint fp = CacheFootprint::Of({"urn:p1"});
-  auto copy = g.Clone();
-  EXPECT_EQ(copy->size(), g.size());
-  EXPECT_EQ(copy->Generation(), g.Generation());
-  EXPECT_EQ(copy->FootprintStamp(fp), g.FootprintStamp(fp));
-  EXPECT_TRUE(copy->Contains(copy->terms().Find(Iri("s")),
-                             copy->terms().Find(Iri("p2")),
-                             copy->terms().Find(Term::Integer(7))));
-  // Mutating the clone leaves the original untouched.
-  copy->Add(Iri("s2"), Iri("p1"), Iri("o2"));
-  EXPECT_EQ(g.size(), 2u);
-  EXPECT_GT(copy->FootprintStamp(fp), g.FootprintStamp(fp));
+  auto next = Graph::NextVersion(g);
+  EXPECT_EQ(next->delta_base(), g.get());
+  EXPECT_EQ(next->size(), g->size());
+  EXPECT_EQ(next->Generation(), g->Generation());
+  EXPECT_EQ(next->FootprintStamp(fp), g->FootprintStamp(fp));
+  EXPECT_TRUE(next->Contains(next->terms().Find(Iri("s")),
+                             next->terms().Find(Iri("p2")),
+                             next->terms().Find(Term::Integer(7))));
+  // Mutating the version edits only its delta; the base is untouched.
+  next->Add(Iri("s2"), Iri("p1"), Iri("o2"));
+  EXPECT_EQ(g->size(), 2u);
+  EXPECT_EQ(next->size(), 3u);
+  EXPECT_EQ(next->delta_size(), 1u);
+  EXPECT_GT(next->FootprintStamp(fp), g->FootprintStamp(fp));
 }
 
 // Property-style randomized check: every pattern type returns exactly the
