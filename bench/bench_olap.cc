@@ -7,8 +7,8 @@
 //   --scale: invoice count of the generated cube KG (default 20k)
 //   --iters: repetitions per OLAP operator (default 1; the first run is
 //            printed, all runs feed the p50/p99 figures)
-//   --cache-mb: generation-aware roll-up cache budget in MB (0 = off, the
-//            default). With the cache on, revisited cube levels (repeat
+//   --cache-mb: OLAP cube cache budget in MB (0 = off, the default).
+//            With the cache on, revisited cube levels (repeat
 //            iterations, drill-down back to an already-materialized level)
 //            are served from the cache, every cached cube is byte-compared
 //            against the first materialization, and hit rates land in the
@@ -26,8 +26,8 @@
 #include <vector>
 
 #include "analytics/olap.h"
-#include "analytics/rollup_cache.h"
 #include "bench_util.h"
+#include "common/lru_cache.h"
 #include "common/query_context.h"
 #include "workload/invoices.h"
 
@@ -47,7 +47,7 @@ std::vector<double> g_latencies_ms;
 std::vector<std::string> g_step_json;
 rdfa::bench::TraceSink g_trace;
 size_t g_cache_mb = 0;
-std::unique_ptr<rdfa::analytics::RollupCache> g_cache;
+std::unique_ptr<rdfa::LruCache<rdfa::analytics::AnswerFrame>> g_cache;
 int g_cache_mismatches = 0;
 
 void Step(const char* op, rdfa::analytics::OlapView* cube) {
@@ -120,9 +120,11 @@ int main(int argc, char** argv) {
     }
   }
   if (g_cache_mb > 0) {
-    rdfa::CacheOptions copts = rdfa::analytics::RollupCache::DefaultOptions();
+    rdfa::CacheOptions copts;
     copts.max_bytes = g_cache_mb << 20;
-    g_cache = std::make_unique<rdfa::analytics::RollupCache>(copts);
+    copts.max_entries = 512;
+    g_cache = std::make_unique<rdfa::LruCache<rdfa::analytics::AnswerFrame>>(
+        copts, "rdfa_rollup_cache");
     if (g_iters < 2) {
       // One iteration per step would only exercise hits on revisited
       // levels; bump so every step gets a cached re-materialization and

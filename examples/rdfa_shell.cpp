@@ -227,8 +227,8 @@ void PrintHelp() {
   save <file>                   write the current dataset as a compressed
                                 RDFA3 snapshot (mmap-able)
   mmap <file>                   open an RDFA3 snapshot without decoding it:
-                                queries read the mapped file lazily; the
-                                first mutation materializes to heap
+                                queries read the mapped file lazily;
+                                mutations layer a delta over the mapping
   ns <iri>                      set the default namespace for bare names
   infer                         materialize the RDFS closure
   show                          render the two-frame GUI (facets + objects)
@@ -381,7 +381,7 @@ bool HandleLine(Shell& shell, const std::string& line) {
       return true;
     }
     std::printf("mapped %zu triples from %s (lazy decode; mutations "
-                "materialize to heap)\n",
+                "layer a delta over the mapping)\n",
                 mapped.value()->size(), path.c_str());
     shell.Reset(std::move(mapped).value());
   } else if (cmd == "ns") {

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <memory>
 
-#include "analytics/rollup_cache.h"
 #include "common/query_log.h"
 #include "sparql/footprint.h"
 
@@ -147,7 +146,8 @@ Result<AnswerFrame> OlapView::Materialize() {
   const uint64_t stamp = graph->FootprintStamp(footprint);
   RDFA_ASSIGN_OR_RETURN(AnswerFrame frame, session_->Execute());
   if (session_->graph()->Generation() == generation) {
-    cache_->Put(key, stamp, frame, std::move(footprint));
+    cache_->Put(key, stamp, frame, frame.table().ApproxBytes(),
+                std::move(footprint));
   }
   return frame;
 }

@@ -5,10 +5,9 @@
 #include <vector>
 
 #include "analytics/session.h"
+#include "common/lru_cache.h"
 
 namespace rdfa::analytics {
-
-class RollupCache;
 
 /// One granularity level of a dimension: an attribute path from the focus,
 /// optionally a derived function (e.g. day -> MONTH(date) -> YEAR(date), or
@@ -69,13 +68,14 @@ class OlapView {
   /// Execution statistics of the most recent Materialize().
   const sparql::ExecStats& last_exec_stats() const;
 
-  /// Generation-aware materialization reuse: with a cache installed,
-  /// Materialize() keys the cube's SPARQL fingerprint plus the graph
-  /// generation into it, so revisiting a level (roll-up then drill-down
-  /// back, repeated slices) returns the memoized frame — and any graph
-  /// mutation invalidates lazily, never serving a stale cube. Null (the
-  /// default) disables reuse. `cache` must outlive the view.
-  void set_cache(RollupCache* cache) { cache_ = cache; }
+  /// Cube reuse: with a cache installed, Materialize() keys the cube by its
+  /// normalized SPARQL and stamps it with the footprint of the predicates
+  /// that SPARQL reads, so revisiting a level (roll-up then drill-down
+  /// back, repeated slices) returns the memoized frame, and a mutation of
+  /// one of those predicates invalidates it lazily, never serving a stale
+  /// cube. Null (the default) disables reuse. `cache` must outlive the
+  /// view.
+  void set_cache(LruCache<AnswerFrame>* cache) { cache_ = cache; }
 
   /// Programs the session (groupings per active dimension at its current
   /// level, plus the measure) and executes the analytic query.
@@ -92,7 +92,7 @@ class OlapView {
   AnalyticsSession* session_;
   std::vector<DimState> dims_;
   MeasureSpec measure_;
-  RollupCache* cache_ = nullptr;
+  LruCache<AnswerFrame>* cache_ = nullptr;
 };
 
 }  // namespace rdfa::analytics

@@ -169,7 +169,7 @@ Result<AnswerFrame> AnalyticsSession::Execute() {
 
 Result<AnswerFrame> AnalyticsSession::ExecuteDirect() const {
   RDFA_ASSIGN_OR_RETURN(hifun::Query q, BuildHifunQuery());
-  hifun::Evaluator eval(*graph_, thread_count_);
+  hifun::Evaluator eval(*graph_);
   RDFA_ASSIGN_OR_RETURN(sparql::ResultTable table, eval.Evaluate(q, ctx_));
   return AnswerFrame(std::move(table));
 }

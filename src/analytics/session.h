@@ -47,15 +47,15 @@ class AnalyticsSession {
   fs::Session& fs() { return fs_; }
   const fs::Session& fs() const { return fs_; }
 
-  /// Morsel-parallelism budget for Execute/ExecuteDirect (<=1 = serial;
-  /// parallel answers are byte-identical to serial).
+  /// Morsel-parallelism budget for Execute (<=1 = serial; parallel answers
+  /// are byte-identical to serial). ExecuteDirect is always serial.
   void set_thread_count(int threads) {
     thread_count_ = threads < 1 ? 1 : threads;
   }
   int thread_count() const { return thread_count_; }
 
-  /// Join-strategy override for Execute/ExecuteDirect (default kAdaptive;
-  /// see Executor::set_join_strategy).
+  /// Join-strategy override for Execute (default kAdaptive; see
+  /// Executor::set_join_strategy).
   void set_join_strategy(sparql::JoinStrategy strategy) {
     join_strategy_ = strategy;
   }
@@ -104,8 +104,8 @@ class AnalyticsSession {
   /// Executes via the SPARQL pipeline and fills the Answer Frame.
   Result<AnswerFrame> Execute();
 
-  /// Executes via the direct HIFUN evaluator (reference semantics; used by
-  /// the equivalence tests and the ablation bench).
+  /// Executes via the direct HIFUN evaluator (serial reference semantics;
+  /// used by the equivalence tests and the ablation bench).
   Result<AnswerFrame> ExecuteDirect() const;
 
   /// §5.3.3: loads the current answer into `*af_graph` as a fresh dataset
@@ -115,7 +115,8 @@ class AnalyticsSession {
   Result<std::unique_ptr<AnalyticsSession>> ExploreAnswer(
       rdf::Graph* af_graph) const;
 
-  /// The most recent Execute/ExecuteDirect answer.
+  /// The most recent Execute (or InstallAnswer) answer; ExecuteDirect
+  /// leaves it alone.
   const AnswerFrame& answer() const { return answer_; }
 
   /// The graph this session analyzes (outlives the session by contract).

@@ -28,10 +28,10 @@ struct QueryProgress {
 
 /// Per-query deadline + cooperative-cancellation handle, threaded through
 /// the whole query path (executor, HIFUN evaluator, analytics session,
-/// roll-up cache, endpoint). Modeled after a serving stack's request
-/// context: cheap to copy (copies share one cancellation state), safe to
-/// poll from many threads, and checked at natural unit-of-work boundaries
-/// (morsels, join stages, group computations) rather than preemptively.
+/// endpoint). Modeled after a serving stack's request context: cheap to
+/// copy (copies share one cancellation state), safe to poll from many
+/// threads, and checked at natural unit-of-work boundaries (morsels, join
+/// stages, group computations) rather than preemptively.
 ///
 /// A default-constructed context is *unlimited*: no deadline, never
 /// cancelled, and Check() is a couple of relaxed atomic loads — the
@@ -158,9 +158,9 @@ class QueryContext {
   /// Attaches a span tracer (common/trace.h) for the query this context
   /// governs. Copies of the context share the tracer the same way they
   /// share cancellation state, so every layer the context already reaches
-  /// — executor, BGP join, HIFUN evaluator, roll-up cache, endpoint — can
-  /// record spans without new plumbing. Null (the default) disables
-  /// tracing; span sites then cost one pointer compare.
+  /// — executor, BGP join, HIFUN evaluator, endpoint — can record spans
+  /// without new plumbing. Null (the default) disables tracing; span sites
+  /// then cost one pointer compare.
   void set_tracer(std::shared_ptr<Tracer> tracer) {
     tracer_ = std::move(tracer);
   }

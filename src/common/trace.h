@@ -18,8 +18,8 @@ namespace rdfa {
 /// (or one interactive session action) and records *completed* spans —
 /// named, timestamped intervals with optional key/value arguments — from
 /// any thread that touches the query: the parse, the BGP plan, every
-/// pattern join, the group-aggregate pass, HIFUN evaluation, roll-up cache
-/// merges, endpoint admission queueing.
+/// pattern join, the group-aggregate pass, HIFUN evaluation, endpoint
+/// admission queueing.
 ///
 /// The tracer is reached through QueryContext::tracer(), so it rides the
 /// existing deadline/cancellation plumbing: anything that can be cancelled

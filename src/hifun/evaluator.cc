@@ -4,7 +4,6 @@
 #include <optional>
 
 #include "common/string_util.h"
-#include "common/thread_pool.h"
 #include "common/trace.h"
 #include "hifun/context.h"
 #include "rdf/namespaces.h"
@@ -108,15 +107,15 @@ EvalOutcome EvalScalar(const rdf::Graph& graph, TermId item,
     case AttrExpr::Kind::kDerived: {
       EvalOutcome inner = EvalScalar(graph, item, *attr.args[0]);
       if (!inner.status.ok() || inner.missing) return inner;
+      EvalOutcome out;
       bool ok = false;
       Term derived = ApplyDerived(attr.function, *inner.value, &ok);
-      if (!ok) {
-        inner.value.reset();
-        inner.missing = true;
-        return inner;
+      if (ok) {
+        out.value = std::move(derived);
+      } else {
+        out.missing = true;
       }
-      inner.value = derived;
-      return inner;
+      return out;
     }
     case AttrExpr::Kind::kPair: {
       EvalOutcome out;
@@ -208,18 +207,11 @@ Result<sparql::ResultTable> Evaluator::Evaluate(const Query& query,
   AttrExprPtr measure =
       query.measuring != nullptr ? query.measuring : AttrExpr::Identity();
 
-  // Grouping + measuring. Evaluating one item touches only const graph
-  // state, so items are processed in parallel morsels; each morsel's
-  // results are merged back in item order, which keeps the per-group
-  // measure sequences (and thus SUM/AVG rounding) byte-identical to a
-  // serial run. Errors are reported from the earliest item, as serial would.
-  struct ItemOut {
-    bool has = false;  ///< survived restrictions and has key + measure
-    std::vector<std::string> key;
-    std::vector<Term> key_terms;
-    Term value;
-  };
-  auto eval_item = [&](TermId item, ItemOut* out) -> Status {
+  // Grouping + measuring, serially in item order, so each group's measure
+  // sequence (and thus SUM/AVG rounding) is the same on every run.
+  std::map<std::vector<std::string>, std::vector<Term>> groups;
+  std::map<std::vector<std::string>, std::vector<Term>> group_keys;
+  auto eval_item = [&](TermId item) -> Status {
     // Restrictions on both sides restrict the item set E.
     for (const Restriction& r : query.group_restrictions) {
       RDFA_ASSIGN_OR_RETURN(bool ok,
@@ -233,82 +225,35 @@ Result<sparql::ResultTable> Evaluator::Evaluate(const Query& query,
     }
 
     // Group key.
+    std::vector<std::string> key;
+    std::vector<Term> key_terms;
     for (const AttrExprPtr& g : group_components) {
       EvalOutcome o = EvalScalar(graph_, item, *g);
       RDFA_RETURN_NOT_OK(o.status);
       if (o.missing) return Status::OK();
-      out->key.push_back(o.value->ToNTriples());
-      out->key_terms.push_back(*o.value);
+      key.push_back(o.value->ToNTriples());
+      key_terms.push_back(*o.value);
     }
 
     // Measure.
     EvalOutcome m = EvalScalar(graph_, item, *measure);
     RDFA_RETURN_NOT_OK(m.status);
     if (m.missing) return Status::OK();
-    out->value = *m.value;
-    out->has = true;
+    groups[key].push_back(std::move(*m.value));
+    group_keys.emplace(std::move(key), std::move(key_terms));
     return Status::OK();
   };
 
   const std::vector<TermId>& items = context.items();
-  std::map<std::vector<std::string>, std::vector<Term>> groups;
-  std::map<std::vector<std::string>, std::vector<Term>> group_keys;
-  auto merge = [&](ItemOut& out) {
-    if (!out.has) return;
-    groups[out.key].push_back(std::move(out.value));
-    group_keys.emplace(std::move(out.key), std::move(out.key_terms));
-  };
-
   std::optional<TraceSpan> gm_span;
   gm_span.emplace(ctx.tracer(), "hifun-group-measure");
   gm_span->Arg("items", static_cast<uint64_t>(items.size()));
-
-  constexpr size_t kMinItemsParallel = 128;
-  if (threads_ > 1 && items.size() >= kMinItemsParallel) {
-    graph_.Freeze();  // one first-touch build, not a per-worker race to it
-    auto morsels = Morsels(items.size(), static_cast<size_t>(threads_) * 4,
-                           /*min_grain=*/64);
-    struct MorselOut {
-      std::vector<ItemOut> outs;
-      Status status = Status::OK();
-    };
-    std::vector<MorselOut> parts(morsels.size());
-    ThreadPool::Shared().ParallelFor(morsels.size(), [&](size_t m) {
-      // Cooperative checkpoint per morsel of the group-measure pass.
-      Status admitted = ctx.Check("hifun-group-measure");
-      if (!admitted.ok()) {
-        parts[m].status = admitted;
-        return;
-      }
-      auto [lo, hi] = morsels[m];
-      parts[m].outs.resize(hi - lo);
-      for (size_t i = lo; i < hi; ++i) {
-        Status st = eval_item(items[i], &parts[m].outs[i - lo]);
-        if (!st.ok()) {
-          parts[m].status = st;  // stop at the morsel's first error
-          return;
-        }
-      }
-    });
-    RDFA_RETURN_NOT_OK(ctx.Check("hifun-group-measure"));
-    // Items are contiguous per morsel, so the first failing morsel holds
-    // the globally earliest error — the one a serial run would return.
-    for (const MorselOut& part : parts) {
-      RDFA_RETURN_NOT_OK(part.status);
+  size_t since_check = 0;
+  for (TermId item : items) {
+    if (since_check++ % 256 == 0) {
+      RDFA_RETURN_NOT_OK(ctx.Check("hifun-group-measure"));
     }
-    for (MorselOut& part : parts) {
-      for (ItemOut& out : part.outs) merge(out);
-    }
-  } else {
-    size_t since_check = 0;
-    for (TermId item : items) {
-      if (since_check++ % 256 == 0) {
-        RDFA_RETURN_NOT_OK(ctx.Check("hifun-group-measure"));
-      }
-      ItemOut out;
-      RDFA_RETURN_NOT_OK(eval_item(item, &out));
-      merge(out);
-    }
+    RDFA_RETURN_NOT_OK(eval_item(item));
   }
 
   gm_span->Arg("groups", static_cast<uint64_t>(groups.size()));

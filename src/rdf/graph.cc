@@ -277,6 +277,7 @@ bool Graph::AddIds(TripleId t) {
 }
 
 bool Graph::Contains(TermId s, TermId p, TermId o) const {
+  if (s == kNoTermId || p == kNoTermId || o == kNoTermId) return false;
   if (base_ != nullptr) {
     const Key k{s, p, o};
     if (std::binary_search(delta_.added[kPermSPO].begin(),

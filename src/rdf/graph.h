@@ -181,6 +181,9 @@ class Graph {
   /// Adds a triple of already-interned ids; returns false on duplicates.
   bool AddIds(TripleId t);
 
+  /// Whether the exact triple (s, p, o) is present. A lane that is
+  /// kNoTermId is not a wildcard here: the answer is false on every
+  /// backend (use EstimateMatch or Match for patterns).
   bool Contains(TermId s, TermId p, TermId o) const;
 
   /// Removes every triple matching the pattern (kNoTermId = wildcard) in

@@ -244,9 +244,7 @@ void ExpectEquivalent(std::shared_ptr<Graph> version, Graph* reference) {
     const TermId o = probe_terms[rng() % probe_terms.size()];
     EXPECT_EQ(version->EstimateMatch(s, p, o),
               compacted->EstimateMatch(s, p, o));
-    if (s != kNoTermId && p != kNoTermId && o != kNoTermId) {
-      EXPECT_EQ(version->Contains(s, p, o), compacted->Contains(s, p, o));
-    }
+    EXPECT_EQ(version->Contains(s, p, o), compacted->Contains(s, p, o));
     for (int perm = 0; perm < Graph::kNumPerms; ++perm) {
       const auto pm = static_cast<Graph::Perm>(perm);
       EXPECT_EQ(version->EstimateInPerm(pm, s, p, o),
@@ -306,6 +304,70 @@ TEST(DeltaVersionTest, MappedBaseMatchesCompaction) {
   Mutate(reference.get());
   reference->Freeze();
   ExpectEquivalent(version, reference.get());
+}
+
+// Contains asks for one exact triple on every backend: the heap, the mapped
+// view and delta versions over either. A kNoTermId lane is not a wildcard,
+// so every probe with one is false, even where the pattern would match.
+TEST(DeltaVersionTest, ContainsIsExactOnEveryBackend) {
+  std::shared_ptr<Graph> heap = BuildKg();
+  heap->Freeze();
+  const std::string path =
+      testing_util::TestTempPath("delta_version_contains.rdfa");
+  ASSERT_TRUE(rdf::SaveBinaryFile(*heap, path).ok());
+  auto opened = rdf::OpenMappedSnapshot(path);
+  ASSERT_TRUE(opened.ok()) << opened.status().message();
+  std::remove(path.c_str());
+  std::shared_ptr<Graph> mapped = std::move(opened).value();
+  ASSERT_NE(mapped->mapped(), nullptr);
+
+  using Terms = std::vector<Term>;
+  auto terms_of = [&](const TripleId& t) {
+    return Terms{heap->terms().Get(t.s), heap->terms().Get(t.p),
+                 heap->terms().Get(t.o)};
+  };
+  const std::vector<TripleId> base =
+      heap->Match(kNoTermId, kNoTermId, kNoTermId);
+  ASSERT_GE(base.size(), 2u);
+  const Terms kept = terms_of(base[0]);
+  const Terms dropped = terms_of(base[1]);
+  const Terms added = {Term::Iri(kEx + "probeLaptop"), Term::Iri(kEx + "price"),
+                       Term::Integer(1234)};
+
+  std::vector<std::pair<std::string, std::shared_ptr<Graph>>> backends = {
+      {"heap", heap}, {"mapped", mapped}};
+  for (size_t i = 0; i < 2; ++i) {
+    std::shared_ptr<Graph> version = Graph::NextVersion(backends[i].second);
+    ASSERT_TRUE(version->Add(added[0], added[1], added[2]));
+    const TripleId d = {version->terms().Find(dropped[0]),
+                        version->terms().Find(dropped[1]),
+                        version->terms().Find(dropped[2])};
+    ASSERT_EQ(version->RemoveMatching(d.s, d.p, d.o), 1u);
+    ASSERT_NE(version->delta_base(), nullptr);
+    backends.emplace_back("delta over " + backends[i].first, version);
+  }
+
+  for (const auto& backend : backends) {
+    SCOPED_TRACE(backend.first);
+    const Graph& g = *backend.second;
+    const bool delta = g.delta_base() != nullptr;
+    auto ids = [&g](const Terms& t) {
+      return TripleId{g.terms().Find(t[0]), g.terms().Find(t[1]),
+                      g.terms().Find(t[2])};
+    };
+    const TripleId k = ids(kept), d = ids(dropped), a = ids(added);
+    EXPECT_TRUE(g.Contains(k.s, k.p, k.o));
+    EXPECT_EQ(g.Contains(d.s, d.p, d.o), !delta);
+    EXPECT_EQ(g.Contains(a.s, a.p, a.o), delta);
+    for (const TripleId& t : {k, d, a}) {
+      for (int mask = 1; mask < 8; ++mask) {
+        EXPECT_FALSE(g.Contains(mask & 1 ? kNoTermId : t.s,
+                                 mask & 2 ? kNoTermId : t.p,
+                                 mask & 4 ? kNoTermId : t.o))
+            << "unbound lanes " << mask;
+      }
+    }
+  }
 }
 
 // A merge cursor over a delta version streams the same entries, in the same

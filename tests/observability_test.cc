@@ -21,7 +21,7 @@
 #include <gtest/gtest.h>
 
 #include "../bench/bench_util.h"
-#include "analytics/rollup_cache.h"
+#include "analytics/olap.h"
 #include "common/metrics.h"
 #include "common/query_context.h"
 #include "common/query_log.h"
@@ -275,21 +275,9 @@ TEST(TraceCoverageTest, TracedQueryCoversThePipelineStages) {
   ASSERT_TRUE(resp.ok()) << resp.status().ToString();
   ASSERT_TRUE(resp.value().status.ok());
 
-  // Roll up a materialized frame through the same tracer: the cache path
-  // is a separate entry point a plain SPARQL query never takes.
-  sparql::ResultTable table({"brand", "sales"});
-  for (int i = 0; i < 9; ++i) {
-    table.AddRow({Term::Iri("urn:b" + std::to_string(i % 3)),
-                  Term::Integer(i)});
-  }
-  analytics::AnswerFrame frame(std::move(table));
-  auto rolled = analytics::RollUpAnswer(frame, {"brand"}, "sales",
-                                        hifun::AggOp::kSum, 1, ctx);
-  ASSERT_TRUE(rolled.ok()) << rolled.status().ToString();
-
   const char* kExpectedStages[] = {"admission-queue", "parse",   "plan",
                                    "bgp-join",        "execute", "index-build",
-                                   "group-aggregate", "rollup-cache"};
+                                   "group-aggregate"};
   size_t covered = 0;
   for (const char* stage : kExpectedStages) {
     EXPECT_TRUE(tracer->HasSpan(stage)) << "missing span: " << stage;
@@ -655,34 +643,67 @@ TEST(MetricsTickTest, CacheCountersTickExactlyOncePerEvent) {
   }
 }
 
-TEST(MetricsTickTest, RollupCacheCountersShareTheProtocol) {
+// The OLAP cube cache (OlapView::set_cache) serves a repeated cube, keeps
+// serving it across a write outside the cube's predicate footprint, and
+// drops it on a write to the measure predicate. Every lookup ticks exactly
+// one of the exported counters.
+TEST(MetricsTickTest, OlapCubeCacheReusesUntilItsFootprintChanges) {
   MetricsRegistry::Global().ResetForTest();
-  analytics::RollupCache cache;
-  sparql::ResultTable table({"brand", "sales"});
-  for (int i = 0; i < 6; ++i) {
-    table.AddRow({Term::Iri("urn:b" + std::to_string(i % 2)),
-                  Term::Integer(i)});
-  }
-  analytics::AnswerFrame frame(std::move(table));
-  auto miss = cache.RollUp("src", 1, frame, {"brand"}, "sales",
-                           hifun::AggOp::kSum);
-  ASSERT_TRUE(miss.ok()) << miss.status().ToString();
-  auto hit = cache.RollUp("src", 1, frame, {"brand"}, "sales",
-                          hifun::AggOp::kSum);
-  ASSERT_TRUE(hit.ok());
-  EXPECT_EQ(hit.value().table().ToTsv(), miss.value().table().ToTsv());
-  // A newer generation invalidates the memo.
-  auto inval = cache.RollUp("src", 2, frame, {"brand"}, "sales",
-                            hifun::AggOp::kSum);
-  ASSERT_TRUE(inval.ok());
-  EXPECT_EQ(inval.value().table().ToTsv(), miss.value().table().ToTsv());
+  const std::string inv = workload::kInvoiceNs;
+  rdf::Graph g;
+  workload::BuildInvoicesExample(&g);
+  analytics::Dimension product;
+  product.name = "product";
+  product.levels = {{"brand", {inv + "delivers", inv + "brand"}, ""}};
+  analytics::MeasureSpec measure;
+  measure.path = {inv + "inQuantity"};
+  measure.ops = {hifun::AggOp::kSum};
+  auto materialize = [&](LruCache<analytics::AnswerFrame>* cache) {
+    analytics::AnalyticsSession session(&g);
+    EXPECT_TRUE(session.fs().ClickClass(inv + "Invoice").ok());
+    analytics::OlapView view(&session, {product}, measure);
+    view.set_cache(cache);
+    auto af = view.Materialize();
+    EXPECT_TRUE(af.ok()) << af.status().ToString();
+    return af.ok() ? af.value().table().ToTsv() : std::string();
+  };
 
+  CacheOptions opts;
+  opts.max_entries = 512;
+  LruCache<analytics::AnswerFrame> cache(opts, "rdfa_rollup_cache");
   MetricsRegistry& reg = MetricsRegistry::Global();
-  ASSERT_NE(reg.FindCounter("rdfa_rollup_cache_hits_total"), nullptr);
-  EXPECT_EQ(reg.FindCounter("rdfa_rollup_cache_hits_total")->Value(), 1u);
-  EXPECT_EQ(reg.FindCounter("rdfa_rollup_cache_misses_total")->Value(), 2u);
-  EXPECT_EQ(
-      reg.FindCounter("rdfa_rollup_cache_invalidations_total")->Value(), 1u);
+  const Counter* hits = reg.FindCounter("rdfa_rollup_cache_hits_total");
+  const Counter* misses = reg.FindCounter("rdfa_rollup_cache_misses_total");
+  const Counter* invalidations =
+      reg.FindCounter("rdfa_rollup_cache_invalidations_total");
+  ASSERT_NE(hits, nullptr);
+  ASSERT_NE(misses, nullptr);
+  ASSERT_NE(invalidations, nullptr);
+  auto expect_ticks = [&](uint64_t h, uint64_t m, uint64_t i) {
+    EXPECT_EQ(hits->Value(), h);
+    EXPECT_EQ(misses->Value(), m);
+    EXPECT_EQ(invalidations->Value(), i);
+  };
+
+  const std::string first = materialize(&cache);
+  expect_ticks(0, 1, 0);
+  EXPECT_EQ(materialize(&cache), first);
+  EXPECT_EQ(materialize(nullptr), first);
+  expect_ticks(1, 1, 0);
+
+  g.Add(Term::Iri("urn:test:note"), Term::Iri("urn:test:unrelated"),
+        Term::Integer(1));
+  EXPECT_EQ(materialize(&cache), first);
+  expect_ticks(2, 1, 0);
+
+  const rdf::TermId qty = g.terms().FindIri(inv + "inQuantity");
+  const rdf::TripleId sale = g.Match(rdf::kNoTermId, qty, rdf::kNoTermId)[0];
+  g.Add(g.terms().Get(sale.s), Term::Iri(inv + "inQuantity"),
+        Term::Integer(1000));
+  const std::string updated = materialize(&cache);
+  expect_ticks(2, 2, 1);
+  EXPECT_NE(updated, first);
+  EXPECT_EQ(updated, materialize(nullptr));
 }
 
 // ---------------------------------------------------------------------------
